@@ -158,8 +158,10 @@ func verifyTopK(goCtx context.Context, net *circuit.Network, vals *sim.Values,
 	if k > len(feasible) {
 		k = len(feasible)
 	}
-	// Partial selection of the top-k by score.
-	sort.Slice(feasible, func(a, b int) bool {
+	// Top-k by (Score desc, candLess asc): feasible is ascending in the
+	// candLess-sorted list, so a stable sort by score breaks ties by
+	// candLess instead of by the unstable sort's internal permutation.
+	sort.SliceStable(feasible, func(a, b int) bool {
 		return cands[feasible[a]].Score > cands[feasible[b]].Score
 	})
 	if pool.Workers() > 1 {
