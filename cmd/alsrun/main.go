@@ -352,7 +352,7 @@ func runSASIMI(golden *batchals.Network, opts batchals.Options, iters bool, outF
 	fmt.Printf("runtime: %s total (CPM %s, estimation %s)\n",
 		res.TotalTime.Round(time.Millisecond),
 		res.CPMTime.Round(time.Millisecond),
-		res.EstimateTime.Round(time.Millisecond))
+		res.Phases.Stats[obs.PhaseEstimate].Time.Round(time.Millisecond))
 	saveOut(outFile, res.Approx)
 	return res
 }

@@ -153,7 +153,6 @@ func Run(ctx context.Context, golden *circuit.Network, cfg sasimi.Config, opt Op
 			Incremental:     cfg.Incremental,
 			Patterns:        ex.Patterns,
 			SimilarityCap:   cfg.SimilarityCap,
-			MaxCandidates:   cfg.MaxCandidates,
 			VerifyTopK:      cfg.VerifyTopK,
 			KeepTrace:       cfg.KeepTrace,
 			CheckInvariants: cfg.CheckInvariants,
@@ -297,7 +296,6 @@ func Run(ctx context.Context, golden *circuit.Network, cfg sasimi.Config, opt Op
 				pr.AreaAfter = r.FinalArea
 				res.NumIterations += r.NumIterations
 				res.CPMTime += r.CPMTime
-				res.EstimateTime += r.EstimateTime
 				for ph := range r.Phases.Stats {
 					res.Phases.Stats[ph].Time += r.Phases.Stats[ph].Time
 					res.Phases.Stats[ph].Count += r.Phases.Stats[ph].Count

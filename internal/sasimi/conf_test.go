@@ -5,8 +5,6 @@ import (
 
 	"batchals/internal/bench"
 	"batchals/internal/bitvec"
-	"batchals/internal/cell"
-	"batchals/internal/circuit"
 	"batchals/internal/core"
 	"batchals/internal/emetric"
 	"batchals/internal/flow"
@@ -155,11 +153,9 @@ func TestIdleStreamSubscriberScoringAllocs(t *testing.T) {
 	ctx := &iterContext{net: net, vals: vals, st: st, metric: core.MetricER}
 	est.prepare(ctx)
 
-	lib := cell.Default()
 	cfg := Config{Budget: flow.Budget{Metric: core.MetricER, Threshold: 1}}
 	cfg.fillDefaults()
-	arrival := lib.NodeArrival(net)
-	cands := gatherCandidates(net, vals, &cfg, arrival, lib.GateDelay(circuit.KindNot))
+	cands := gatherAll(t, net, vals, &cfg, nil)
 	if len(cands) == 0 {
 		t.Fatal("no candidates on RCA8")
 	}
@@ -175,7 +171,7 @@ func TestIdleStreamSubscriberScoringAllocs(t *testing.T) {
 	defer cancel()
 	streamCfg := cfg
 	streamCfg.Tracer = stream
-	o := newRunObs(&streamCfg, net)
+	o := newRunObs(&streamCfg, net, est)
 	withIdleSub := testing.AllocsPerRun(20, func() {
 		scoreCandidates(est, cands, vals, 0, cfg.Threshold, scratch, change, o, 1)
 	})

@@ -77,8 +77,6 @@ type Config struct {
 	// SimilarityCap is the maximum local difference probability for a pair
 	// to be considered almost-identical (default 0.3).
 	SimilarityCap float64
-	// MaxCandidates caps candidates evaluated per iteration (0 = all).
-	MaxCandidates int
 	// VerifyTopK, when positive, re-evaluates the K best-scoring feasible
 	// candidates of each iteration with exact fanout-cone resimulation
 	// before committing to one. This implements the mitigation the paper
@@ -171,10 +169,10 @@ type Result struct {
 	NumIterations int
 	TotalTime     time.Duration
 	CPMTime       time.Duration // total time spent building CPMs
-	EstimateTime  time.Duration // total time spent estimating candidates
 	// Phases is the per-phase wall-time (and, when a Tracer or Metrics
 	// registry was configured, allocation) breakdown of the whole run
-	// across the five flow phases.
+	// across the five flow phases. Its PhaseEstimate entry is the one
+	// definition of estimation time: candidate gathering plus scoring.
 	Phases obs.PhaseReport
 }
 
@@ -235,6 +233,7 @@ type runObs struct {
 	tracer      obs.Tracer
 	reg         *obs.Registry
 	net         *circuit.Network
+	est         estimator // fills Candidate.Exact for the events that carry it
 	iters       *obs.Counter
 	cands       *obs.Counter
 	accepts     *obs.Counter
@@ -265,7 +264,7 @@ type runObs struct {
 	emitCands bool
 }
 
-func newRunObs(cfg *Config, net *circuit.Network) *runObs {
+func newRunObs(cfg *Config, net *circuit.Network, est estimator) *runObs {
 	if cfg.Tracer == nil && cfg.Metrics == nil {
 		return nil
 	}
@@ -273,6 +272,7 @@ func newRunObs(cfg *Config, net *circuit.Network) *runObs {
 		tracer:    cfg.Tracer,
 		reg:       cfg.Metrics,
 		net:       net,
+		est:       est,
 		erMetric:  cfg.Metric == core.MetricER,
 		threshold: cfg.Threshold,
 		emitCands: obs.WantsCandidates(cfg.Tracer),
@@ -295,6 +295,8 @@ func newRunObs(cfg *Config, net *circuit.Network) *runObs {
 	return o
 }
 
+// candidateScored counts one scored candidate and, when the tracer takes
+// candidate events, fills c.Exact for the event.
 func (o *runObs) candidateScored(iter int, c *Candidate) {
 	if o == nil {
 		return
@@ -303,6 +305,7 @@ func (o *runObs) candidateScored(iter int, c *Candidate) {
 		o.cands.Inc()
 	}
 	if o.emitCands {
+		c.Exact = o.est.exactFor(c.Target)
 		o.tracer.OnCandidate(obs.CandidateInfo{
 			Iter:     iter,
 			Target:   o.net.NameOf(c.Target),
@@ -316,13 +319,13 @@ func (o *runObs) candidateScored(iter int, c *Candidate) {
 	}
 }
 
-func (o *runObs) verified(iter int, c *Candidate, batchDelta, exactDelta float64, wasExact bool) {
-	if o == nil {
+// verified records one batch-vs-exact verification as drift, split by the
+// batch estimate's exactness certificate.
+func (o *runObs) verified(c *Candidate, batchDelta, exactDelta float64) {
+	if o == nil || o.verifyDrift == nil {
 		return
 	}
-	if o.verifyDrift != nil {
-		o.verifyDrift.Record(batchDelta, exactDelta, wasExact)
-	}
+	o.verifyDrift.Record(batchDelta, exactDelta, o.est.exactFor(c.Target))
 }
 
 // resimmed records one cone-scoped resimulation of n nodes.
@@ -484,7 +487,7 @@ func RunContext(goCtx context.Context, golden *circuit.Network, cfg Config) (*Re
 
 	approx := golden.Clone()
 	est := newEstimator(cfg.Estimator)
-	o := newRunObs(&cfg, approx)
+	o := newRunObs(&cfg, approx, est)
 
 	res := &Result{
 		Approx:       approx,
@@ -501,12 +504,12 @@ func RunContext(goCtx context.Context, golden *circuit.Network, cfg Config) (*Re
 	// iterations; the gather cache carries candidate enumeration state.
 	// After an accept, pendingEdit/pendingChanged describe the surgery for
 	// the next iteration's cache update. With the engine off, a fresh
-	// Engine per iteration reproduces the legacy rebuild-from-scratch
-	// sequence operation for operation.
+	// Engine and a full gather per iteration reproduce the legacy
+	// rebuild-from-scratch sequence operation for operation.
 	incremental := cfg.Incremental.enabled()
 	var (
 		eng            *core.Engine
-		cache          *gatherCache
+		cache          gatherCache
 		pendingEdit    *core.Edit
 		pendingChanged []circuit.NodeID
 		runErr         error
@@ -549,33 +552,26 @@ loop:
 		}
 
 		sp = prof.Begin(obs.PhaseEstimate)
-		arrival := cfg.Library.NodeArrival(approx)
-		invDelay := cfg.Library.GateDelay(circuit.KindNot)
+		env := newGatherEnv(approx, vals, &cfg)
 		var cands []Candidate
-		if incremental {
-			env := newGatherEnv(approx, vals, &cfg, arrival, invDelay)
-			var gerr error
-			if cache == nil {
-				cache = &gatherCache{}
-				cands, gerr = cache.full(goCtx, env, pool)
-			} else {
-				cands, gerr = cache.update(goCtx, env, pendingEdit, pendingChanged, pool)
-			}
-			if gerr != nil {
-				// A cancelled gather leaves the cache partially written;
-				// drop it so a hypothetical resume cannot read torn state.
-				cache = nil
-			}
+		var err error
+		if incremental && pendingEdit != nil {
+			cands, err = cache.update(goCtx, env, pendingEdit, pendingChanged, pool)
 		} else {
-			cands = gatherCandidatesParallel(goCtx, approx, vals, &cfg, arrival, invDelay, pool)
+			cands, err = cache.full(goCtx, env, pool)
 		}
-		if err := goCtx.Err(); err != nil {
+		if err == nil {
+			err = goCtx.Err()
+		}
+		if err != nil {
+			// A cancelled gather leaves the cache partially written; the
+			// flow ends here, so nothing reads it again.
 			prof.End(sp)
 			runErr = err
 			break loop
 		}
 		if cfg.verifyIncremental && incremental {
-			if err := crossCheckIncremental(approx, vals, &cfg, arrival, invDelay, pool, cands, ictx.cpm); err != nil {
+			if err := crossCheckIncremental(env, pool, cands, ictx.cpm); err != nil {
 				prof.End(sp)
 				return nil, err
 			}
@@ -588,7 +584,6 @@ loop:
 
 		// Estimate the increased error of every candidate (the batch step)
 		// and pick the best feasible one by ΔArea/ΔError score.
-		estStart := time.Now()
 		best, feasible := scoreCandidatesMaybeSharded(ictx, est, cands, curErr, cfg.Threshold,
 			scratch, change, pool, o, iter)
 		prof.End(sp)
@@ -609,13 +604,18 @@ loop:
 				break loop
 			}
 		}
-		res.EstimateTime += time.Since(estStart)
 		if best == -1 {
 			prof.End(sp)
 			o.iteration(iter, curErr, len(cands), len(feasible), false, time.Since(iterStart))
 			break // nothing fits in the remaining budget
 		}
 		chosen := cands[best]
+		if !chosen.Exact && (o != nil || cfg.KeepTrace) {
+			// Read by the accept event, the drift split and the trace
+			// record; computed before the surgery changes the network the
+			// certificate describes.
+			chosen.Exact = est.exactFor(chosen.Target)
+		}
 
 		// Apply the substitution on a backup so an over-budget result can
 		// be rolled back, then measure the actual error (paper §3.2).
@@ -714,10 +714,13 @@ loop:
 // crossCheckIncremental is the verifyIncremental paranoia pass: it rebuilds
 // the candidate list (and, when present, the CPM) from scratch and compares
 // against the incremental results field for field.
-func crossCheckIncremental(net *circuit.Network, vals *sim.Values, cfg *Config,
-	arrival []float64, invDelay float64, pool *par.Pool, cands []Candidate, cpm *core.CPM) error {
-
-	full := gatherCandidatesParallel(context.Background(), net, vals, cfg, arrival, invDelay, pool)
+func crossCheckIncremental(env *gatherEnv, pool *par.Pool, cands []Candidate, cpm *core.CPM) error {
+	net, vals := env.net, env.vals
+	var fresh gatherCache
+	full, err := fresh.full(context.Background(), env, pool)
+	if err != nil {
+		return err
+	}
 	if len(full) != len(cands) {
 		return fmt.Errorf("sasimi: incremental gather diverged: %d candidates vs %d full", len(cands), len(full))
 	}
@@ -744,7 +747,7 @@ func crossCheckIncremental(net *circuit.Network, vals *sim.Values, cfg *Config,
 
 // checkAcyclic closes the documented ReplaceFanin gap: circuit editing
 // does not itself forbid a substitution that closes a combinational loop
-// (gatherCandidates screens for it, but the screen and the surgery are
+// (the gather screens for it, but the screen and the surgery are
 // separate code paths). Under Config.CheckInvariants every accepted
 // substitution is re-checked here, turning what would be a TopoOrder
 // panic inside the next simulation into an error that names the cycle.
@@ -770,11 +773,11 @@ func cycleNames(net *circuit.Network, cyc []circuit.NodeID) string {
 }
 
 // scoreCandidates runs the batch estimation inner loop: it fills
-// Delta/Exact/Score for every candidate and returns the index of the best
-// feasible candidate (-1 if none fits the remaining budget) plus the list
-// of feasible indices. With o == nil this is exactly the pre-observability
-// hot loop — TestNilTracerScoringAllocs pins that it allocates nothing
-// beyond the estimator's own scratch work.
+// Delta/Score for every candidate and returns the index of the best
+// feasible candidate under better (-1 if none fits the remaining budget)
+// plus the list of feasible indices. With o == nil this is exactly the
+// pre-observability hot loop — TestNilTracerScoringAllocs pins that it
+// allocates nothing beyond the estimator's own scratch work.
 //
 //als:allocfree
 func scoreCandidates(est estimator, cands []Candidate, vals *sim.Values,
@@ -787,14 +790,13 @@ func scoreCandidates(est estimator, cands []Candidate, vals *sim.Values,
 		sub := c.substituteValue(vals, scratch)
 		change.Xor(vals.Node(c.Target), sub)
 		c.Delta = est.delta(c.Target, sub, change)
-		c.Exact = est.exactFor(c.Target)
 		c.Score = score(c.AreaGain, c.Delta, vals.M)
 		o.candidateScored(iter, c)
 		if curErr+c.Delta > threshold+1e-12 {
 			continue // estimated to bust the budget
 		}
 		feasible = append(feasible, i) //als:alloc-ok amortised grow of the returned index list; the pin's baseline absorbs it
-		if best == -1 || c.Score > cands[best].Score {
+		if best == -1 || better(c, &cands[best]) {
 			best = i
 		}
 	}
@@ -853,9 +855,11 @@ func applyCandidate(net *circuit.Network, c *Candidate) core.Edit {
 }
 
 // EstimateAll exposes the batch estimation step in isolation: it returns
-// every admissible candidate of the network with Delta filled in by the
-// selected estimator, without applying anything. The facade and the
-// examples use it to demonstrate pure batch estimation.
+// every admissible candidate of the network, in enumeration order
+// (ascending target, each target's bucket in canonical order), with
+// Delta, Score and Exact filled in by the selected estimator, without
+// applying anything. The facade and the examples use it to demonstrate
+// pure batch estimation.
 func EstimateAll(golden, approx *circuit.Network, cfg Config) ([]Candidate, error) {
 	cfg.fillDefaults()
 	if err := approx.Validate(); err != nil {
@@ -878,11 +882,18 @@ func EstimateAll(golden, approx *circuit.Network, cfg Config) ([]Candidate, erro
 	ctx := &iterContext{net: approx, vals: vals, st: st, metric: cfg.Metric, pool: pool}
 	est.prepare(ctx)
 
-	arrival := cfg.Library.NodeArrival(approx)
-	cands := gatherCandidatesParallel(context.Background(), approx, vals, &cfg, arrival, cfg.Library.GateDelay(circuit.KindNot), pool)
+	env := newGatherEnv(approx, vals, &cfg)
+	var gc gatherCache
+	cands, err := gc.full(context.Background(), env, pool)
+	if err != nil {
+		return nil, err
+	}
 	scratch := bitvec.New(patterns.NumPatterns())
 	change := bitvec.New(patterns.NumPatterns())
-	o := newRunObs(&cfg, approx)
+	o := newRunObs(&cfg, approx, est)
 	scoreCandidatesMaybeSharded(ctx, est, cands, 0, cfg.Threshold, scratch, change, pool, o, 1)
+	for i := range cands {
+		cands[i].Exact = est.exactFor(cands[i].Target)
+	}
 	return cands, nil
 }

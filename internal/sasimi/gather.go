@@ -2,7 +2,6 @@ package sasimi
 
 import (
 	"math/bits"
-	"sort"
 
 	"batchals/internal/bitvec"
 	"batchals/internal/circuit"
@@ -11,11 +10,10 @@ import (
 
 // gatherEnv bundles the read-only inputs of one iteration's candidate
 // enumeration: the network, the value table, the timing/area model and the
-// similarity screens. It factors the per-target enumeration out of
-// gatherCandidatesParallel so the incremental gather cache can reuse the
-// identical code — computeTarget and evalPair must reproduce the
-// sequential gatherCandidates enumeration decision for decision, because
-// the flow's bit-identity contract hangs off the candidate list.
+// similarity screens. computeTarget enumerates one target's bucket; the
+// gather cache calls it for every target on a full gather and for the dirty
+// ones on an incremental update, and evalPair re-evaluates single pairs, so
+// both paths make the same decision for every pair.
 type gatherEnv struct {
 	net      *circuit.Network
 	vals     *sim.Values
@@ -31,7 +29,7 @@ type gatherEnv struct {
 	prefixCap   float64
 }
 
-func newGatherEnv(net *circuit.Network, vals *sim.Values, cfg *Config, arrival []float64, invDelay float64) *gatherEnv {
+func newGatherEnv(net *circuit.Network, vals *sim.Values, cfg *Config) *gatherEnv {
 	m := vals.M
 	subs := make([]circuit.NodeID, 0, net.NumNodes())
 	for _, id := range net.LiveNodes() {
@@ -52,8 +50,8 @@ func newGatherEnv(net *circuit.Network, vals *sim.Values, cfg *Config, arrival [
 		net:         net,
 		vals:        vals,
 		cfg:         cfg,
-		arrival:     arrival,
-		invDelay:    invDelay,
+		arrival:     cfg.Library.NodeArrival(net),
+		invDelay:    cfg.Library.GateDelay(circuit.KindNot),
 		invArea:     cfg.Library.GateArea(circuit.KindNot, 1),
 		subs:        subs,
 		m:           m,
@@ -65,9 +63,9 @@ func newGatherEnv(net *circuit.Network, vals *sim.Values, cfg *Config, arrival [
 
 // targetData is the per-target gather state: the target's candidate bucket
 // in canonical enumeration order (constants first, then pairs by ascending
-// substitute id with plain before inverted — exactly the sequential
-// enumeration order), plus the MFFC-derived quantities and the dependency
-// set the incremental cache probes to decide staleness.
+// substitute id with plain before inverted), plus the MFFC-derived
+// quantities and the dependency set the incremental cache probes to decide
+// staleness.
 type targetData struct {
 	live     bool
 	baseGain float64
@@ -80,29 +78,38 @@ type targetData struct {
 	bucket []Candidate
 }
 
-// computeTarget enumerates target t's full candidate bucket. diff is an
-// M-bit scratch vector owned by the caller. When wantDeps is set the
-// dependency set is recorded for the incremental cache.
-func (env *gatherEnv) computeTarget(t circuit.NodeID, diff *bitvec.Vec, wantDeps bool) targetData {
+// computeTarget enumerates target t's full candidate bucket: for every
+// potential substitute signal (including complemented signals and the two
+// constants), keep the pairs that
+//
+//   - do not create a cycle (the substitute is not in t's transitive
+//     fanout cone),
+//   - do not increase the circuit delay (substitute arrival, plus an
+//     inverter for complemented substitution, within t's arrival),
+//   - reclaim positive area,
+//   - and look almost-identical on the pattern set: difference probability
+//     at most cfg.SimilarityCap.
+//
+// diff is an M-bit scratch vector owned by the caller. The dependency set
+// is recorded for the incremental cache.
+func (env *gatherEnv) computeTarget(t circuit.NodeID, diff *bitvec.Vec) targetData {
 	td := targetData{live: true}
 	td.mffc = env.net.MFFC(t)
 	for _, id := range td.mffc {
 		td.baseGain += env.cfg.Library.GateArea(env.net.Kind(id), len(env.net.Fanins(id)))
 	}
-	if wantDeps {
-		seen := make(map[circuit.NodeID]bool, 2*len(td.mffc))
-		for _, id := range td.mffc {
-			if !seen[id] {
-				seen[id] = true
-				td.deps = append(td.deps, id)
-			}
+	seen := make(map[circuit.NodeID]bool, 2*len(td.mffc))
+	for _, id := range td.mffc {
+		if !seen[id] {
+			seen[id] = true
+			td.deps = append(td.deps, id)
 		}
-		for _, id := range td.mffc {
-			for _, f := range env.net.Fanins(id) {
-				if !seen[f] {
-					seen[f] = true
-					td.deps = append(td.deps, f)
-				}
+	}
+	for _, id := range td.mffc {
+		for _, f := range env.net.Fanins(id) {
+			if !seen[f] {
+				seen[f] = true
+				td.deps = append(td.deps, f)
 			}
 		}
 	}
@@ -140,6 +147,8 @@ func (env *gatherEnv) computeTarget(t circuit.NodeID, diff *bitvec.Vec, wantDeps
 // already screened s == t and the cycle check (s in t's fanout cone).
 func (env *gatherEnv) evalPair(out []Candidate, td *targetData, t, s circuit.NodeID, tv *bitvec.Vec, tArr float64, diff *bitvec.Vec) []Candidate {
 	sv := env.vals.Node(s)
+	// A cheap prefix check on the first few simulation words rejects
+	// grossly dissimilar pairs before the full popcount.
 	if env.prefixWords > 0 {
 		d := 0
 		tw, sw := tv.WordsSlice(), sv.WordsSlice()
@@ -205,10 +214,6 @@ func liveGateTargets(net *circuit.Network) []circuit.NodeID {
 // make this a strict total order over distinct candidates — no two
 // different candidates ever compare equal (constants carry Sub ==
 // circuit.InvalidNode, so they never tie with pairs on the same target).
-// Totality is what lets the incremental gather cache maintain the sorted
-// list by filter-and-merge: the sorted permutation of any candidate
-// multiset is unique, so a merge of sorted pieces is bit-identical to a
-// from-scratch sort of the flattened buckets.
 func candLess(a, b *Candidate) bool {
 	if a.DiffProb != b.DiffProb {
 		return a.DiffProb < b.DiffProb
@@ -228,17 +233,14 @@ func candLess(a, b *Candidate) bool {
 	return !a.Inverted && b.Inverted
 }
 
-func sortCandidates(cands []Candidate) {
-	sort.Slice(cands, func(i, j int) bool { return candLess(&cands[i], &cands[j]) })
-}
-
-// sortAndCap applies the deterministic candidate order and the
-// MaxCandidates truncation. Every gather path funnels through candLess,
-// so identical candidate multisets yield identical lists.
-func sortAndCap(cands []Candidate, cfg *Config) []Candidate {
-	sortCandidates(cands)
-	if cfg.MaxCandidates > 0 && len(cands) > cfg.MaxCandidates {
-		cands = cands[:cfg.MaxCandidates]
+// better is the flow's selection order: higher Score first, ties by
+// candLess. It is a strict total order over distinct candidates, so the
+// argmax under it — and VerifyTopK's top K — is unique whatever order the
+// candidates arrive in, and it equals the first maximum by Score of the
+// candLess-sorted list.
+func better(a, b *Candidate) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
 	}
-	return cands
+	return candLess(a, b)
 }

@@ -35,26 +35,19 @@ import (
 //     whose substitute is dirty or removed and merge in freshly evaluated
 //     pairs for the dirty substitutes, preserving canonical bucket order.
 //
-// The final candidate list is itself maintained incrementally: candLess
-// is a strict total order, so the sorted permutation of the candidate
-// multiset is unique, and the cache keeps the previous iteration's fully
-// sorted list. After an edit it filters out the entries owned by dirty or
-// removed targets and dropped substitutes (a linear pass over a list that
-// is already sorted), sorts only the replacement entries (the dirty
-// targets' new buckets plus the clean targets' fresh pairs — a small
-// fraction of the total), and merges the two sorted runs. The result is
-// the unique sorted permutation of the new multiset — bit-identical to
-// re-sorting the flattened buckets from scratch, at a fraction of the
-// comparator cost — pinned by the differential suite and the
-// Config.verifyIncremental cross-check.
+// The candidate list handed to the flow is the concatenation of the live
+// targets' buckets in ascending target order, copied into one slice the
+// cache owns and reuses (scoring writes Delta/Score/Exact into it in place,
+// so the buckets stay pristine). Every bucket is built in canonical order
+// by target-owned tasks, so the list is identical at any worker count, and
+// identical between the incremental update and a full gather — pinned by
+// the differential suite and the Config.verifyIncremental cross-check. The
+// flow selects from it by an argmax under better, which needs no sorted
+// order.
 type gatherCache struct {
 	data        []targetData // indexed by node slot
 	prevArrival []float64
-	// sorted is the full sorted candidate list of the previous gather,
-	// before the MaxCandidates cap, with pristine gather-time fields
-	// (callers get a copy, so scoring's in-place Delta/Score writes never
-	// leak back into the cache).
-	sorted []Candidate
+	list        []Candidate // the concatenated buckets handed to the flow
 
 	// Dispatch scratch: the LPT bin-packer and its inputs (work items as
 	// target indices plus their estimated resim costs), and one reusable
@@ -76,13 +69,15 @@ func (gc *gatherCache) workerDiffs(workers, m int) []*bitvec.Vec {
 	return gc.diffs
 }
 
-// full performs the initial complete gather, populating every target's
-// cached bucket and dependency set. Targets are bin-packed (uniform cost —
-// nothing is known about the cones yet) and each bin's buckets land in
-// per-target slots owned by the target index, so the fan-out is
-// deterministic at any worker count and bin shape. A cancelled context
-// aborts the fan-out and returns the context's error; the cache is then
-// partially populated and must be discarded.
+// full performs a complete gather, populating every target's cached bucket
+// and dependency set, and returns the candidate list. It serves the first
+// incremental iteration, every iteration of IncrementalOff, the
+// verifyIncremental cross-check and EstimateAll. Targets are bin-packed
+// (uniform cost — nothing is known about the cones yet) and each bin's
+// buckets land in per-target slots owned by the target index, so the
+// fan-out is deterministic at any worker count and bin shape. A cancelled
+// context aborts the fan-out and returns the context's error; the cache is
+// then partially populated and must be discarded.
 func (gc *gatherCache) full(goCtx context.Context, env *gatherEnv, pool *par.Pool) ([]Candidate, error) {
 	gc.data = make([]targetData, env.net.NumSlots())
 	targets := liveGateTargets(env.net)
@@ -97,22 +92,13 @@ func (gc *gatherCache) full(goCtx context.Context, env *gatherEnv, pool *par.Poo
 		diff := diffs[w]
 		for _, ti := range bins[bi] {
 			t := targets[ti]
-			gc.data[t] = env.computeTarget(t, diff, true)
+			gc.data[t] = env.computeTarget(t, diff)
 		}
 	}); err != nil {
 		return nil, err
 	}
-	gc.prevArrival = append([]float64(nil), env.arrival...)
-	total := 0
-	for _, t := range targets {
-		total += len(gc.data[t].bucket)
-	}
-	gc.sorted = make([]Candidate, 0, total)
-	for _, t := range targets {
-		gc.sorted = append(gc.sorted, gc.data[t].bucket...)
-	}
-	sortCandidates(gc.sorted)
-	return gc.capped(env.cfg), nil
+	gc.prevArrival = append(gc.prevArrival[:0], env.arrival...)
+	return gc.collect(targets), nil
 }
 
 // update refreshes the cache after one accepted edit and returns the new
@@ -230,7 +216,6 @@ func (gc *gatherCache) update(goCtx context.Context, env *gatherEnv, ed *core.Ed
 	// to steal.
 	targets := liveGateTargets(n)
 	dirtyT := make([]bool, slots)
-	freshBy := make([][]Candidate, len(targets))
 	gc.items = gc.items[:0]
 	gc.costs = gc.costs[:0]
 	dirtyCost := float64(len(env.subs)) + 8
@@ -258,7 +243,7 @@ func (gc *gatherCache) update(goCtx context.Context, env *gatherEnv, ed *core.Ed
 			ti := gc.items[ii]
 			t := targets[ti]
 			if dirtyT[t] {
-				gc.data[t] = env.computeTarget(t, diff, true)
+				gc.data[t] = env.computeTarget(t, diff)
 				continue
 			}
 			td := &gc.data[t]
@@ -271,7 +256,6 @@ func (gc *gatherCache) update(goCtx context.Context, env *gatherEnv, ed *core.Ed
 				}
 				fresh = env.evalPair(fresh, td, t, s, tv, tArr, diff)
 			}
-			freshBy[ti] = fresh
 			td.bucket = mergeBucket(td.bucket, fresh, drop)
 		}
 	})
@@ -279,69 +263,18 @@ func (gc *gatherCache) update(goCtx context.Context, env *gatherEnv, ed *core.Ed
 		return nil, err
 	}
 
-	// Maintain the sorted list by filter-and-merge: the previous list
-	// minus the entries of dirty/removed targets and dropped substitutes
-	// is still sorted; the replacements (dirty targets' new buckets plus
-	// the clean targets' fresh pairs) form exactly the complement of the
-	// new multiset. candLess is a strict total order, so the merge is
-	// bit-identical to re-sorting the flattened buckets.
-	var added []Candidate
-	for ti, t := range targets {
-		if dirtyT[t] {
-			added = append(added, gc.data[t].bucket...)
-		} else {
-			added = append(added, freshBy[ti]...)
-		}
-	}
-	sortCandidates(added)
-
-	kept := make([]Candidate, 0, len(gc.sorted))
-	for i := range gc.sorted {
-		c := &gc.sorted[i]
-		if !n.IsLive(c.Target) || dirtyT[c.Target] {
-			continue
-		}
-		if !c.Const && drop[c.Sub] {
-			continue
-		}
-		kept = append(kept, *c)
-	}
-	gc.sorted = mergeSorted(kept, added)
-
 	gc.prevArrival = append(gc.prevArrival[:0], env.arrival...)
-	return gc.capped(env.cfg), nil
+	return gc.collect(targets), nil
 }
 
-// mergeSorted merges two candLess-sorted runs. Ties cannot occur (the
-// order is total over distinct candidates), so tie placement is moot.
-func mergeSorted(a, b []Candidate) []Candidate {
-	if len(b) == 0 {
-		return a
+// collect copies the buckets of targets, ascending, into the cache-owned
+// candidate list and returns it. The list is valid until the next gather.
+func (gc *gatherCache) collect(targets []circuit.NodeID) []Candidate {
+	gc.list = gc.list[:0]
+	for _, t := range targets {
+		gc.list = append(gc.list, gc.data[t].bucket...)
 	}
-	out := make([]Candidate, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if candLess(&a[i], &b[j]) {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
-// capped hands the caller its own copy of the MaxCandidates prefix of
-// the cached sorted list. Copying keeps the cache pristine: scoring
-// writes Delta/Score/Exact into the returned slice in place.
-func (gc *gatherCache) capped(cfg *Config) []Candidate {
-	view := gc.sorted
-	if cfg.MaxCandidates > 0 && len(view) > cfg.MaxCandidates {
-		view = view[:cfg.MaxCandidates]
-	}
-	return append([]Candidate(nil), view...)
+	return gc.list
 }
 
 func depsTouched(deps []circuit.NodeID, probe []bool) bool {

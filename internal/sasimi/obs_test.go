@@ -9,7 +9,6 @@ import (
 
 	"batchals/internal/bench"
 	"batchals/internal/bitvec"
-	"batchals/internal/cell"
 	"batchals/internal/circuit"
 	"batchals/internal/core"
 	"batchals/internal/emetric"
@@ -209,11 +208,9 @@ func TestNilTracerScoringAllocs(t *testing.T) {
 	ctx := &iterContext{net: net, vals: vals, st: st, metric: core.MetricER}
 	est.prepare(ctx)
 
-	lib := cell.Default()
 	cfg := Config{Budget: flow.Budget{Metric: core.MetricER, Threshold: 1}}
 	cfg.fillDefaults()
-	arrival := lib.NodeArrival(net)
-	cands := gatherCandidates(net, vals, &cfg, arrival, lib.GateDelay(circuit.KindNot))
+	cands := gatherAll(t, net, vals, &cfg, nil)
 	if len(cands) == 0 {
 		t.Fatal("no candidates on RCA8")
 	}

@@ -8,63 +8,7 @@ import (
 	"batchals/internal/core"
 	"batchals/internal/obs"
 	"batchals/internal/par"
-	"batchals/internal/sim"
 )
-
-// gatherCandidatesParallel is gatherCandidates with the per-target
-// enumeration fanned out across the pool's workers. Each target's
-// candidates are collected into a per-target bucket (the task index owns
-// the bucket slot); concatenating the buckets in target order reproduces
-// the sequential enumeration order exactly, so the final deterministic
-// sort — a total order on (DiffProb, AreaGain, Target, Sub) applied to an
-// identical input permutation — yields the identical candidate list at any
-// worker count. The network traversals used per target (MFFC,
-// MFFCExcluding, TransitiveFanoutCone) are read-only and allocate locally,
-// so workers share the network safely.
-func gatherCandidatesParallel(goCtx context.Context, net *circuit.Network, vals *sim.Values, cfg *Config,
-	arrival []float64, invDelay float64, pool *par.Pool) []Candidate {
-
-	if pool.Workers() <= 1 {
-		return gatherCandidates(net, vals, cfg, arrival, invDelay)
-	}
-	env := newGatherEnv(net, vals, cfg, arrival, invDelay)
-	targets := liveGateTargets(net)
-	buckets := make([][]Candidate, len(targets))
-	if goCtx == nil {
-		goCtx = context.Background()
-	}
-	// Bin-pack targets (uniform cost) so each worker reuses one scratch
-	// vector across its whole bin instead of allocating one per target.
-	var planner par.Planner
-	costs := make([]float64, len(targets))
-	for i := range costs {
-		costs[i] = 1
-	}
-	bins := planner.Plan(costs, par.PlanBins(len(targets), pool.Workers()))
-	diffs := make([]*bitvec.Vec, pool.Workers())
-	for i := range diffs {
-		diffs[i] = bitvec.New(env.m)
-	}
-	pool.Label("sasimi.gather", obs.PhaseEstimate)
-	if err := pool.DoCtx(goCtx, len(bins), func(w, bi int) {
-		for _, ti := range bins[bi] {
-			td := env.computeTarget(targets[ti], diffs[w], false)
-			buckets[ti] = td.bucket
-		}
-	}); err != nil {
-		return nil // cancelled mid-gather; the caller abandons the iteration
-	}
-
-	total := 0
-	for _, b := range buckets {
-		total += len(b)
-	}
-	cands := make([]Candidate, 0, total)
-	for _, b := range buckets {
-		cands = append(cands, b...)
-	}
-	return sortAndCap(cands, cfg)
-}
 
 // scoreCandidatesMaybeSharded dispatches candidate scoring: the batch
 // estimator on a multi-worker pool takes the pattern-sharded path, every
@@ -85,7 +29,7 @@ func scoreCandidatesMaybeSharded(ctx *iterContext, est estimator, cands []Candid
 // scoreCandidatesSharded evaluates every candidate's batch estimate with
 // the pattern space sharded across the pool's workers, then runs the
 // selection loop sequentially in candidate order so feasibility and
-// tie-breaking match scoreCandidates decision for decision.
+// selection match scoreCandidates decision for decision.
 //
 // Each worker owns one shard: for every candidate it materialises the
 // change mask for its word range only (target XOR substitute, with the
@@ -107,18 +51,18 @@ func scoreCandidatesSharded(ctx *iterContext, cands []Candidate,
 
 	// Warm the CPM's shared lazy caches from this goroutine before the
 	// fan-out: AnyProp fills are atomic (racing fills would merely waste
-	// work), the AEM column memo is plain and must be sequenced here.
-	targets := make([]circuit.NodeID, 0, len(cands))
-	seen := make(map[circuit.NodeID]bool, len(cands))
-	for i := range cands {
-		if !seen[cands[i].Target] {
-			seen[cands[i].Target] = true
-			targets = append(targets, cands[i].Target)
-		}
-	}
+	// work), the AEM column memo is plain and must be sequenced here. The
+	// list is grouped by target, so skipping repeats of the previous
+	// target lists each one once.
 	if aem {
 		cpm.EnsureAEMColumns(st)
 	} else {
+		var targets []circuit.NodeID
+		for i := range cands {
+			if t := cands[i].Target; len(targets) == 0 || targets[len(targets)-1] != t {
+				targets = append(targets, t)
+			}
+		}
 		cpm.EnsureAnyProp(targets)
 	}
 
@@ -204,14 +148,13 @@ func scoreCandidatesSharded(ctx *iterContext, cands []Candidate,
 			}
 			c.Delta = (float64(inc) - float64(dec)) / float64(m)
 		}
-		c.Exact = cpm.ExactFor(c.Target)
 		c.Score = score(c.AreaGain, c.Delta, m)
 		o.candidateScored(iter, c)
 		if curErr+c.Delta > threshold+1e-12 {
 			continue
 		}
 		feasible = append(feasible, i)
-		if best == -1 || c.Score > cands[best].Score {
+		if best == -1 || better(c, &cands[best]) {
 			best = i
 		}
 	}

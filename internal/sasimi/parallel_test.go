@@ -1,7 +1,6 @@
 package sasimi
 
 import (
-	"context"
 	"reflect"
 	"runtime"
 	"sync"
@@ -9,8 +8,6 @@ import (
 
 	"batchals/internal/bench"
 	"batchals/internal/bitvec"
-	"batchals/internal/cell"
-	"batchals/internal/circuit"
 	"batchals/internal/core"
 	"batchals/internal/emetric"
 	"batchals/internal/flow"
@@ -164,12 +161,10 @@ func TestParallelScoringMatchesSequential(t *testing.T) {
 		vals := sim.Simulate(approx, patterns)
 		st := emetric.NewState(sim.OutputMatrix(net, golden), sim.OutputMatrix(approx, vals))
 
-		lib := cell.Default()
 		cfg := Config{Budget: flow.Budget{Metric: metric, Threshold: 0.5}, Workers: 1}
 		cfg.fillDefaults()
 		cfg.Workers = 1
-		arrival := lib.NodeArrival(approx)
-		seqCands := gatherCandidates(approx, vals, &cfg, arrival, lib.GateDelay(circuit.KindNot))
+		seqCands := gatherAll(t, approx, vals, &cfg, nil)
 		if len(seqCands) == 0 {
 			t.Fatal("no candidates")
 		}
@@ -185,8 +180,7 @@ func TestParallelScoringMatchesSequential(t *testing.T) {
 
 		for _, workers := range []int{2, 4, 7} {
 			pool := par.NewPool(workers)
-			gotCands := gatherCandidatesParallel(context.Background(), approx, vals, &cfg, arrival,
-				lib.GateDelay(circuit.KindNot), pool)
+			gotCands := gatherAll(t, approx, vals, &cfg, pool)
 			if !reflect.DeepEqual(gotCands, seqCands) {
 				pool.Close()
 				t.Fatalf("metric=%v workers=%d: gathered candidates diverge", metric, workers)
@@ -224,11 +218,9 @@ func TestNilTracerShardedScoringAllocs(t *testing.T) {
 	ctx := &iterContext{net: net, vals: vals, st: st, metric: core.MetricER}
 	est.prepare(ctx)
 
-	lib := cell.Default()
 	cfg := Config{Budget: flow.Budget{Metric: core.MetricER, Threshold: 1}, Workers: 1}
 	cfg.fillDefaults()
-	arrival := lib.NodeArrival(net)
-	cands := gatherCandidates(net, vals, &cfg, arrival, lib.GateDelay(circuit.KindNot))
+	cands := gatherAll(t, net, vals, &cfg, nil)
 	if len(cands) == 0 {
 		t.Fatal("no candidates on RCA8")
 	}

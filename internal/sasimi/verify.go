@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/bits"
 	"runtime/pprof"
-	"sort"
 
 	"batchals/internal/bitvec"
 	"batchals/internal/circuit"
@@ -35,7 +34,7 @@ import (
 // documented on core.DeltaAEMPartial, covering all bundled benchmarks),
 // and the final "after" value is produced by the same single division the
 // serial metric performs. The reduction walks candidates in the same
-// sorted order as the serial loop, so Delta/Score overwrites, drift
+// top-K order as the serial loop, so Delta/Score overwrites, drift
 // records and the final argmax selection are identical at every worker
 // count.
 
@@ -139,16 +138,17 @@ type verifyScratch struct {
 	valRows     [][]uint64
 }
 
-// verifyTopK re-evaluates the K best-scoring feasible candidates with
-// exact cone resimulation and returns the index of the best exactly-scored
-// feasible candidate, or -1 if none survives. The verified candidates'
-// Delta and Score fields are overwritten with exact values; each
-// batch-vs-exact pair is recorded as verification drift, split by the
-// batch estimate's exactness certificate. With a multi-worker pool the
-// (candidate, pattern-shard) grid fans out over the pool — bit-identical
-// to the serial path (see the file comment); a nil or single-worker pool
-// verifies serially via core.ExactDelta with per-candidate cancellation
-// checks.
+// verifyTopK re-evaluates the K feasible candidates that come first under
+// better (Score desc, candLess asc) with exact cone resimulation, in that
+// order, and returns the index of the best exactly-scored feasible
+// candidate — the first maximum in that order — or -1 if none survives.
+// The verified candidates' Delta and Score fields are overwritten with
+// exact values and Exact is set; each batch-vs-exact pair is recorded as
+// verification drift, split by the batch estimate's exactness
+// certificate. With a multi-worker pool the (candidate, pattern-shard)
+// grid fans out over the pool — bit-identical to the serial path (see the
+// file comment); a nil or single-worker pool verifies serially via
+// core.ExactDelta with per-candidate cancellation checks.
 func verifyTopK(goCtx context.Context, net *circuit.Network, vals *sim.Values,
 	st *emetric.State, cfg *Config, cands []Candidate, feasible []int,
 	curErr float64, scratch *bitvec.Vec, vs *verifyScratch, pool *par.Pool,
@@ -158,12 +158,17 @@ func verifyTopK(goCtx context.Context, net *circuit.Network, vals *sim.Values,
 	if k > len(feasible) {
 		k = len(feasible)
 	}
-	// Top-k by (Score desc, candLess asc): feasible is ascending in the
-	// candLess-sorted list, so a stable sort by score breaks ties by
-	// candLess instead of by the unstable sort's internal permutation.
-	sort.SliceStable(feasible, func(a, b int) bool {
-		return cands[feasible[a]].Score > cands[feasible[b]].Score
-	})
+	// Partial selection: move the top k under better, in order, to the
+	// front of feasible. O(k·|feasible|) with k small; no sort.
+	for i := 0; i < k; i++ {
+		m := i
+		for j := i + 1; j < len(feasible); j++ {
+			if better(&cands[feasible[j]], &cands[feasible[m]]) {
+				m = j
+			}
+		}
+		feasible[i], feasible[m] = feasible[m], feasible[i]
+	}
 	if pool.Workers() > 1 {
 		return verifyTopKParallel(goCtx, net, vals, st, cfg, cands, feasible[:k],
 			curErr, vs, pool, o, iter)
@@ -175,7 +180,7 @@ func verifyTopK(goCtx context.Context, net *circuit.Network, vals *sim.Values,
 		}
 		c := &cands[idx]
 		sub := c.substituteValue(vals, scratch)
-		batchDelta, wasExact := c.Delta, c.Exact
+		batchDelta := c.Delta
 		if tl := cfg.Timeline; tl != nil {
 			// Per-candidate span + pprof label set: CPU profile samples of
 			// the exact recheck attribute to the candidate being verified.
@@ -192,7 +197,7 @@ func verifyTopK(goCtx context.Context, net *circuit.Network, vals *sim.Values,
 		}
 		c.Exact = true
 		c.Score = score(c.AreaGain, c.Delta, vals.M)
-		o.verified(iter, c, batchDelta, c.Delta, wasExact)
+		o.verified(c, batchDelta, c.Delta)
 		if curErr+c.Delta > cfg.Threshold+1e-12 {
 			continue
 		}
@@ -272,7 +277,7 @@ func verifyTopKParallel(goCtx context.Context, net *circuit.Network, vals *sim.V
 	best := -1
 	for ci, idx := range top {
 		c := &cands[idx]
-		batchDelta, wasExact := c.Delta, c.Exact
+		batchDelta := c.Delta
 		var after float64
 		if cfg.Metric == core.MetricAEM {
 			total := 0.0
@@ -290,7 +295,7 @@ func verifyTopKParallel(goCtx context.Context, net *circuit.Network, vals *sim.V
 		c.Delta = after - before
 		c.Exact = true
 		c.Score = score(c.AreaGain, c.Delta, m)
-		o.verified(iter, c, batchDelta, c.Delta, wasExact)
+		o.verified(c, batchDelta, c.Delta)
 		if curErr+c.Delta > cfg.Threshold+1e-12 {
 			continue
 		}

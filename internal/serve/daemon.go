@@ -334,9 +334,9 @@ func (d *Daemon) Enqueue(spec JobSpec) (string, error) {
 		return spec.Name, nil
 	default:
 		d.mu.Unlock()
+		d.shed.Inc()
 		trace.To(JobShed)
 		run.SetState(RunShed, "queue full")
-		d.shed.Inc()
 		d.runs.Trim(d.cfg.RunsMax)
 		return spec.Name, ErrQueueFull
 	}
@@ -372,9 +372,9 @@ func (d *Daemon) worker() {
 			// Re-check: when the drain raced the dequeue, this job was
 			// still queued at shutdown time and must not start.
 			if d.draining.Load() {
+				d.canceled.Inc()
 				j.trace.To(JobCanceled)
 				j.run.SetState(RunCanceled, "daemon shutdown")
-				d.canceled.Inc()
 				continue
 			}
 			d.process(j)
@@ -388,9 +388,9 @@ func (d *Daemon) cancelQueued() {
 	for {
 		select {
 		case j := <-d.queue:
+			d.canceled.Inc()
 			j.trace.To(JobCanceled)
 			j.run.SetState(RunCanceled, "daemon shutdown")
-			d.canceled.Inc()
 		default:
 			d.depth.Set(0)
 			return
@@ -399,7 +399,11 @@ func (d *Daemon) cancelQueued() {
 }
 
 // process runs one job end to end: lifecycle transitions, the runner,
-// latency observations, and the service-lane timeline bridge.
+// latency observations, and the service-lane timeline bridge. The job's
+// terminal state is published last: it takes the end stamp first, records
+// the latency histograms and service spans derived from it, and only then
+// moves the trace and the run to done or failed, so a client that sees the
+// job finished finds every record of it written.
 func (d *Daemon) process(j *queuedJob) {
 	d.depth.Set(float64(len(d.queue)))
 	j.trace.To(JobAdmitted)
@@ -408,26 +412,30 @@ func (d *Daemon) process(j *queuedJob) {
 	defer j.run.Flight.DumpOnPanic(os.Stderr)
 	j.trace.To(JobRunning)
 	err := d.cfg.Runner(d.runCtx, j.spec, j.run)
+	end := time.Now()
+	state, runState, msg := JobDone, RunDone, ""
 	if err != nil {
-		j.trace.Fail(err.Error())
-		j.run.SetState(RunFailed, err.Error())
-		d.failed.Inc()
-	} else {
-		j.trace.To(JobDone)
-		j.run.SetState(RunDone, "")
-		d.done.Inc()
+		state, runState, msg = JobFailed, RunFailed, err.Error()
 	}
-	if w, ok := j.trace.QueueWait(); ok {
+	final := j.trace.Preview(state, end, msg)
+	if w, ok := final.QueueWait(); ok {
 		d.hQueue.Observe(float64(w.Nanoseconds()))
 	}
-	if w, ok := j.trace.RunWall(); ok {
+	if w, ok := final.RunWall(); ok {
 		d.hRun.Observe(float64(w.Nanoseconds()))
 	}
-	if w, ok := j.trace.E2E(); ok {
+	if w, ok := final.E2E(); ok {
 		d.hE2E.Observe(float64(w.Nanoseconds()))
 	}
-	j.trace.EmitService(j.run.Timeline())
+	final.EmitService(j.run.Timeline())
+	if err != nil {
+		d.failed.Inc()
+	} else {
+		d.done.Inc()
+	}
 	d.inflight.Set(0)
+	j.trace.ToAt(state, end, msg)
+	j.run.SetState(runState, msg)
 	d.runs.Trim(d.cfg.RunsMax)
 }
 

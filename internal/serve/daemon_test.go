@@ -343,6 +343,67 @@ func TestDaemonTimelineServiceLane(t *testing.T) {
 	}
 }
 
+// TestDaemonTerminalStateIsPublishedLast pins the ordering contract of
+// process: an observer that spins on a job's lifecycle trace and on its
+// run state, and acts the instant either turns terminal, must already
+// find the job's latency histograms, outcome counter and service-lane
+// spans written. Jobs alternate between success and failure.
+func TestDaemonTerminalStateIsPublishedLast(t *testing.T) {
+	const jobs = 12
+	d := testDaemon(t, func(ctx context.Context, spec JobSpec, run *Run) error {
+		if strings.HasSuffix(spec.Name, "-fail") {
+			return errors.New("runner failed")
+		}
+		return nil
+	}, func(cfg *DaemonConfig) { cfg.QueueMax = 1 })
+	d.Start()
+	defer func() { _ = d.Shutdown(context.Background()) }()
+
+	for i := 0; i < jobs; i++ {
+		name := fmt.Sprintf("job%d", i)
+		if i%2 == 1 {
+			name += "-fail"
+		}
+		if _, err := d.Enqueue(JobSpec{Name: name, Circuit: "c", Threshold: 0.1, Workers: 1, Timeline: true}); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		var run *Run
+		for {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never turned terminal", name)
+			}
+			r, ok := d.runs.Lookup(name)
+			if ok && (r.JobTrace().State().Terminal() || r.State() == RunDone || r.State() == RunFailed) {
+				run = r
+				break
+			}
+		}
+
+		want := int64(i + 1)
+		for _, h := range []struct {
+			name string
+			hist *obs.Histogram
+		}{{"queue wait", d.hQueue}, {"run", d.hRun}, {"e2e", d.hE2E}} {
+			if got := h.hist.Snapshot().Count; got != want {
+				t.Fatalf("%s: terminal with %d %s observations, want %d", name, got, h.name, want)
+			}
+		}
+		if got := d.done.Value() + d.failed.Value(); got != want {
+			t.Fatalf("%s: terminal with done+failed = %d, want %d", name, got, want)
+		}
+		var buf bytes.Buffer
+		if err := run.Timeline().WriteTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, span := range []string{"service.queued", "service.admitted", "service.running"} {
+			if !strings.Contains(buf.String(), span) {
+				t.Fatalf("%s: terminal with timeline missing %q", name, span)
+			}
+		}
+	}
+}
+
 // TestDaemonGracefulShutdown is the drain contract: SIGTERM (modeled by
 // Shutdown) lets the running job finish, marks still-queued jobs canceled
 // in their lifecycle traces, and flushes the access log.

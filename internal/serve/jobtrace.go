@@ -91,7 +91,16 @@ func NewJobTrace(name string) *JobTrace {
 // To advances the trace to state s, stamping the transition time. Illegal
 // transitions (per the state machine) are rejected and return false,
 // leaving the trace unchanged — a terminal trace stays terminal.
-func (t *JobTrace) To(s JobState) bool {
+func (t *JobTrace) To(s JobState) bool { return t.ToAt(s, time.Now(), "") }
+
+// Fail moves the trace to failed with the given message.
+func (t *JobTrace) Fail(msg string) bool { return t.ToAt(JobFailed, time.Now(), msg) }
+
+// ToAt is To with a caller-taken stamp and, when msg is non-empty, an
+// error message, both recorded in one step. Taking the stamp first lets
+// the daemon record everything derived from a job's end before the
+// terminal transition makes the job visible as finished.
+func (t *JobTrace) ToAt(s JobState, at time.Time, msg string) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	cur := t.states[len(t.states)-1]
@@ -106,19 +115,28 @@ func (t *JobTrace) To(s JobState) bool {
 		return false
 	}
 	t.states = append(t.states, s)
-	t.times = append(t.times, time.Now())
+	t.times = append(t.times, at)
+	if msg != "" {
+		t.err = msg
+	}
 	return true
 }
 
-// Fail moves the trace to failed with the given message.
-func (t *JobTrace) Fail(msg string) bool {
-	if !t.To(JobFailed) {
-		return false
-	}
+// Preview returns a private copy of the trace advanced by ToAt(s, at,
+// msg), leaving the trace itself unchanged: its intervals and service
+// spans are the ones the job will have once the transition is published.
+func (t *JobTrace) Preview(s JobState, at time.Time, msg string) *JobTrace {
 	t.mu.Lock()
-	t.err = msg
+	c := &JobTrace{
+		name:     t.name,
+		received: t.received,
+		states:   append([]JobState(nil), t.states...),
+		times:    append([]time.Time(nil), t.times...),
+		err:      t.err,
+	}
 	t.mu.Unlock()
-	return true
+	c.ToAt(s, at, msg)
+	return c
 }
 
 // State returns the trace's current state.
