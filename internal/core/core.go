@@ -62,19 +62,19 @@ type CPM struct {
 	// p rows, so racing fills store interchangeable values.
 	anyProp []atomic.Pointer[bitvec.Vec]
 
-	// Per-pattern golden/approximate output words, cached for the error
-	// state currently being estimated against (see aemColumns).
-	aemFor *emetric.State
-	aemU   []uint64
-	aemV   []uint64
+	// AEM column memo for the error state currently being estimated
+	// against (see aemColumns): aemPlanes holds each pattern word's
+	// approximate and golden output planes interleaved, aemBase each
+	// word's base magnitude sum Σ|V−U|.
+	aemFor    *emetric.State
+	aemPlanes []vuPlane
+	aemBase   []magSum
 
-	// Scratch buffers of the sequential delta queries (DeltaERCounts,
-	// DeltaAEM), reused across calls to keep the scoring loop
-	// allocation-free. Like aemColumns they make the sequential query
-	// methods single-goroutine only; the concurrent path uses the
-	// *Partial kernels with per-worker state instead.
+	// Scratch buffers of the sequential DeltaERCounts, reused across calls
+	// to keep the scoring loop allocation-free. Like aemColumns they make
+	// the sequential query methods single-goroutine only; the concurrent
+	// path uses the *Partial kernels with per-worker state instead.
 	erInc, erDec, erTmp *bitvec.Vec
-	aemReached          []aemReach
 
 	// restricted marks a CPM built by BuildForOutputs: its output axis is
 	// a subset, so the whole-circuit error queries are unavailable.
@@ -317,45 +317,110 @@ func (c *CPM) DeltaERCounts(nx circuit.NodeID, change *bitvec.Vec, st *emetric.S
 	return int64(inc.Count()), int64(dec.Count())
 }
 
-// aemColumns builds (or reuses) the per-pattern output words of the golden
-// (U) and approximate (V) matrices for st. Extracting them once per
-// iteration turns the per-candidate inner loop from matrix-column gathers
-// into two array reads.
+// aemColumns builds (or reuses) the AEM column memo for st: the output
+// planes of V and U interleaved word-major (plane k of word w at
+// aemPlanes[w·O+k]), so the ΔAEM kernel reads one contiguous block per
+// pattern word, and the base sum B[w] = Σ|V−U| over each word's lanes.
 func (c *CPM) aemColumns(st *emetric.State) {
 	if c.aemFor == st {
 		return
 	}
-	if c.aemU == nil {
-		c.aemU = make([]uint64, c.m)
-		c.aemV = make([]uint64, c.m)
-	} else {
-		for i := range c.aemU {
-			c.aemU[i] = 0
-			c.aemV[i] = 0
+	words := bitvec.Words(c.m)
+	if c.aemPlanes == nil {
+		c.aemPlanes = make([]vuPlane, words*c.o)
+		c.aemBase = make([]magSum, words)
+	}
+	for k := 0; k < c.o; k++ {
+		vw := st.V.Row(k).WordsSlice()
+		uw := st.U.Row(k).WordsSlice()
+		for w := 0; w < words; w++ {
+			c.aemPlanes[w*c.o+k] = vuPlane{v: vw[w], u: uw[w]}
 		}
 	}
-	for o := 0; o < c.o; o++ {
-		uw := st.U.Row(o).WordsSlice()
-		vw := st.V.Row(o).WordsSlice()
-		bit := uint64(1) << uint(o)
-		for i := 0; i < c.m; i++ {
-			if uw[i/64]>>(uint(i)%64)&1 == 1 {
-				c.aemU[i] |= bit
-			}
-			if vw[i/64]>>(uint(i)%64)&1 == 1 {
-				c.aemV[i] |= bit
-			}
-		}
+	for w := range c.aemBase {
+		var none [63]uint64 // no flip; laneMag overwrites it
+		c.aemBase[w] = laneMag(c.aemPlanes[w*c.o:(w+1)*c.o], none[:c.o])
 	}
 	c.aemFor = st
 }
 
-// aemReach is one output the candidate's flip can reach: its bit in the
-// packed output word plus the propagation row's word slice. The gather
-// buffer lives on the CPM (aemReached) so the scoring loop reuses it.
-type aemReach struct {
-	bit   uint64
-	words []uint64
+// vuPlane is one output plane of one pattern word: bit i of v (u) is the
+// approximate (golden) value of that output under the word's pattern i.
+type vuPlane struct{ v, u uint64 }
+
+// magSum is an exact integer sum of lane magnitudes, split at plane 32 so
+// that neither half overflows int64 even at 63 outputs (a word's 64 lanes
+// can sum to 64·(2^63−1)): the value is hi·2^32 + lo.
+type magSum struct{ lo, hi int64 }
+
+// laneMag returns Σ over the 64 lanes of one pattern word of |n − u|, with
+// the lane values bit-sliced across planes (plane k holds bit k of every
+// lane): u_k = pl[k].u and n_k = pl[k].v ^ f[k], the approximate plane
+// with the candidate's flip applied. A borrow plane ripples through the
+// subtraction n − u; lanes still borrowing past the top plane are
+// negative and get the bit-sliced two's-complement negate, which flips
+// every bit above the lowest set one. f is overwritten with the
+// difference planes.
+func laneMag(pl []vuPlane, f []uint64) magSum {
+	f = f[:len(pl)]
+	var borrow uint64
+	for k, q := range pl {
+		n := q.v ^ f[k]
+		x := n ^ q.u
+		f[k] = x ^ borrow
+		borrow = ^n&q.u | ^x&borrow
+	}
+	lo, hi := f, f[:0]
+	if len(f) > 32 {
+		lo, hi = f[:32], f[32:]
+	}
+	// Both halves index planes from 0 to at most 31; the "& 31" tells the
+	// compiler so, which drops its guard for shifts of 64 or more.
+	var s magSum
+	var seen uint64
+	for k, d := range lo {
+		s.lo += int64(bits.OnesCount64(d^borrow&seen)) << (k & 31)
+		seen |= d
+	}
+	for k, d := range hi {
+		s.hi += int64(bits.OnesCount64(d^borrow&seen)) << (k & 31)
+		seen |= d
+	}
+	return s
+}
+
+// aemSum is the ΔAEM kernel over the pattern words [w0, w1): the sum over
+// those patterns of |Y_chg−Y_org| − |Y_pre−Y_org|, where Y_chg is Y_pre
+// with the CPM-propagated bits of the change mask chg flipped. Each word
+// the change reaches contributes its candidate magnitude sum minus the
+// memoised base B[w]; untouched lanes cancel inside the word. The sum is
+// carried exactly in integers, so the result is the exact total rounded
+// once to float64 — exact below 2^53. aemColumns must be current.
+//
+//als:allocfree
+func (c *CPM) aemSum(nx circuit.NodeID, chg []uint64, w0, w1 int) float64 {
+	row := c.p[nx]
+	var scratch [63]uint64
+	f := scratch[:len(row)]
+	var lo, hi int64
+	for w := w0; w < w1; w++ {
+		cw := chg[w]
+		if cw == 0 {
+			continue
+		}
+		var reach uint64
+		for k, p := range row {
+			f[k] = cw & p.WordsSlice()[w]
+			reach |= f[k]
+		}
+		if reach == 0 {
+			continue
+		}
+		s := laneMag(c.aemPlanes[w*c.o:(w+1)*c.o], f)
+		lo += s.lo - c.aemBase[w].lo
+		hi += s.hi - c.aemBase[w].hi
+	}
+	return float64(hi)*(1<<32) + float64(lo)
 }
 
 // DeltaAEM estimates the increased average error magnitude of an AT, per
@@ -370,63 +435,9 @@ func (c *CPM) DeltaAEM(nx circuit.NodeID, change *bitvec.Vec, st *emetric.State)
 	if c.restricted {
 		panic("core: DeltaAEM on an output-restricted CPM")
 	}
-	if c.o > 63 {
-		panic("core: DeltaAEM requires <= 63 outputs")
-	}
 	statDeltaAEM.Inc()
-	if !change.Any() {
-		return 0
-	}
-	c.aemColumns(st)
-	row := c.p[nx]
-
-	// Only outputs the flip can reach under some changed pattern matter;
-	// gather their word slices once into the reusable buffer (the append
-	// grows it to at most c.o entries on the first calls, then reuses).
-	reached := c.aemReached[:0]
-	cw := change.WordsSlice()
-	for o := 0; o < c.o; o++ {
-		pw := row[o].WordsSlice()
-		for w := range cw {
-			if cw[w]&pw[w] != 0 {
-				reached = append(reached, aemReach{bit: 1 << uint(o), words: pw}) //als:alloc-ok amortised grow, capped at c.o
-				break
-			}
-		}
-	}
-	c.aemReached = reached
-	if len(reached) == 0 {
-		return 0
-	}
-
-	var total float64
-	for w, word := range cw {
-		for word != 0 {
-			b := word & (-word)
-			i := w*bitvec.WordBits + bits.TrailingZeros64(b)
-			word ^= b
-			var flip uint64
-			for _, r := range reached {
-				if r.words[w]&b != 0 {
-					flip |= r.bit
-				}
-			}
-			if flip == 0 {
-				continue
-			}
-			org := c.aemU[i]
-			pre := c.aemV[i]
-			total += absDiff(pre^flip, org) - absDiff(pre, org)
-		}
-	}
-	return total / float64(c.m)
-}
-
-func absDiff(a, b uint64) float64 {
-	if a >= b {
-		return float64(a - b)
-	}
-	return float64(b - a)
+	c.EnsureAEMColumns(st)
+	return c.aemSum(nx, change.WordsSlice(), 0, bitvec.Words(c.m)) / float64(c.m)
 }
 
 // ChangedOutputs returns, for pattern i, the set of outputs the CPM

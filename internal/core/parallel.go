@@ -126,14 +126,15 @@ func (c *CPM) EnsureAnyProp(ids []circuit.NodeID) {
 	}
 }
 
-// EnsureAEMColumns extracts the per-pattern golden/approximate output words
-// for st into the CPM's column cache. The cache is a plain (non-atomic)
-// memo keyed by state pointer, so sharded AEM queries require this to be
-// called — from a single goroutine, before the worker fan-out — whenever
-// the error state changes; DeltaAEMPartial then only reads it.
+// EnsureAEMColumns builds the CPM's AEM column memo for st: the
+// interleaved output planes and the per-word base sums the ΔAEM kernel
+// reads. The memo is a plain (non-atomic) cache keyed by state pointer, so
+// sharded AEM queries require this to be called — from a single
+// goroutine, before the worker fan-out — whenever the error state changes;
+// DeltaAEMPartial then only reads it.
 func (c *CPM) EnsureAEMColumns(st *emetric.State) {
 	if c.o > 63 {
-		panic("core: EnsureAEMColumns requires <= 63 outputs")
+		panic("core: ΔAEM requires <= 63 outputs")
 	}
 	c.aemColumns(st)
 }
@@ -175,13 +176,11 @@ func (c *CPM) DeltaERPartial(nx circuit.NodeID, chg []uint64, st *emetric.State,
 
 // DeltaAEMPartial computes the word range [w0, w1) of a DeltaAEM query,
 // returning the *unnormalised* magnitude sum over the range's patterns
-// (DeltaAEM's result is the total over all words divided by M). The
-// per-pattern contributions are integer-valued, so partial sums over a
-// word-aligned partition combine exactly — in the fixed shard order — to
-// the sequential accumulation for any magnitude below 2^53, which covers
-// every bundled benchmark. The reached-output set is gathered shard-
-// locally; an output unreachable within the range contributes no flip bit
-// for its patterns, so the restriction is result-identical.
+// (DeltaAEM's result is the total over all words divided by M). Both run
+// the same word-local kernel, and each partial is an exact integer, so
+// partial sums over a word-aligned partition combine exactly — in the
+// fixed shard order — to DeltaAEM's total for any magnitude below 2^53,
+// which covers every bundled benchmark.
 //
 // EnsureAEMColumns(st) must have been called (from one goroutine) first.
 //
@@ -190,53 +189,9 @@ func (c *CPM) DeltaAEMPartial(nx circuit.NodeID, chg []uint64, st *emetric.State
 	if c.restricted {
 		panic("core: DeltaAEMPartial on an output-restricted CPM")
 	}
-	if c.o > 63 {
-		panic("core: DeltaAEMPartial requires <= 63 outputs")
-	}
 	if c.aemFor != st {
 		panic(fmt.Sprintf("core: DeltaAEMPartial for state %p without EnsureAEMColumns", st))
 	}
 	statPartialAEM.Inc()
-	row := c.p[nx]
-	// The reached-output gather lives in a fixed-size stack array (c.o is
-	// capped at 63 above): the kernel runs per candidate per shard, so a
-	// heap slice here would dominate the scoring loop's allocation profile,
-	// and per-worker scratch cannot live on the shared CPM.
-	var reached [63]aemReach
-	nr := 0
-	for o := 0; o < c.o; o++ {
-		pw := row[o].WordsSlice()
-		for w := w0; w < w1; w++ {
-			if chg[w]&pw[w] != 0 {
-				reached[nr] = aemReach{bit: 1 << uint(o), words: pw}
-				nr++
-				break
-			}
-		}
-	}
-	if nr == 0 {
-		return 0
-	}
-	var total float64
-	for w := w0; w < w1; w++ {
-		word := chg[w]
-		for word != 0 {
-			b := word & (-word)
-			i := w*bitvec.WordBits + bits.TrailingZeros64(b)
-			word ^= b
-			var flip uint64
-			for _, r := range reached[:nr] {
-				if r.words[w]&b != 0 {
-					flip |= r.bit
-				}
-			}
-			if flip == 0 {
-				continue
-			}
-			org := c.aemU[i]
-			pre := c.aemV[i]
-			total += absDiff(pre^flip, org) - absDiff(pre, org)
-		}
-	}
-	return total
+	return c.aemSum(nx, chg, w0, w1)
 }

@@ -148,9 +148,10 @@ func (env *gatherEnv) computeTarget(t circuit.NodeID, diff *bitvec.Vec) targetDa
 func (env *gatherEnv) evalPair(out []Candidate, td *targetData, t, s circuit.NodeID, tv *bitvec.Vec, tArr float64, diff *bitvec.Vec) []Candidate {
 	sv := env.vals.Node(s)
 	// A cheap prefix check on the first few simulation words rejects
-	// grossly dissimilar pairs before the full popcount.
+	// grossly dissimilar pairs before the full popcount. When the prefix
+	// spans every word (M ≤ 256) its count already is the full one.
+	d := 0
 	if env.prefixWords > 0 {
-		d := 0
 		tw, sw := tv.WordsSlice(), sv.WordsSlice()
 		for w := 0; w < env.prefixWords; w++ {
 			d += bits.OnesCount64(tw[w] ^ sw[w])
@@ -160,8 +161,11 @@ func (env *gatherEnv) evalPair(out []Candidate, td *targetData, t, s circuit.Nod
 			return out
 		}
 	}
-	diff.Xor(tv, sv)
-	dp := float64(diff.Count()) / float64(env.m)
+	if env.prefixBits < env.m {
+		diff.Xor(tv, sv)
+		d = diff.Count()
+	}
+	dp := float64(d) / float64(env.m)
 
 	if dp <= env.cfg.SimilarityCap && env.arrival[s] <= tArr {
 		if g := env.pairGain(td, t, s); g > 0 {
