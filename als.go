@@ -11,8 +11,10 @@
 //     approximate transformations from a single Monte Carlo run plus a
 //     change propagation matrix (internal/core);
 //   - the SASIMI signal-substitution ALS flow with three interchangeable
-//     estimators (batch / full-simulation / local), and a second
-//     constant-setting flow (internal/sasimi, internal/snap);
+//     estimators (batch / full-simulation / local), and constant-setting,
+//     literal-removal and stochastic flows on a shared greedy driver
+//     (internal/sasimi, internal/snap, internal/wu, internal/stoch,
+//     internal/flow);
 //   - benchmark generators, .bench and BLIF I/O, a BDD engine for exact
 //     analysis, and a harness regenerating every table and figure of the
 //     paper (internal/bench, internal/benchfmt, internal/blif,

@@ -51,7 +51,7 @@ func main() {
 		flowFlag     = flag.String("flow", "sasimi", "ALS flow: sasimi, snap (constant-setting), wu (literal-removal) or stoch (stochastic)")
 		metricFlag   = flag.String("metric", "er", "error metric: er or aem")
 		threshold    = flag.Float64("threshold", 0.01, "error budget (ER fraction or absolute AEM)")
-		estimator    = flag.String("estimator", "batch", "estimator: batch, full or local")
+		estimator    = flag.String("estimator", "batch", "estimator: batch, full or local (full: sasimi only; stoch: batch only)")
 		verifyTopK   = flag.Int("verify", 0, "re-check the K best candidates per iteration exactly (0 = off)")
 		patterns     = flag.Int("m", 10000, "Monte Carlo pattern count")
 		seed         = flag.Int64("seed", 0, "random seed")
@@ -129,6 +129,15 @@ func main() {
 		opts.Estimator = batchals.Local
 	default:
 		fatal(fmt.Errorf("unknown estimator %q (want batch, full or local)", *estimator))
+	}
+	// snap and wu offer only the batch and local estimators; stoch picks
+	// its own (exact while the budget is comfortable, batch after).
+	flowName := strings.ToLower(*flowFlag)
+	if (flowName == "snap" || flowName == "wu") && opts.Estimator == batchals.Full ||
+		flowName == "stoch" && opts.Estimator != batchals.Batch {
+		fmt.Fprintf(os.Stderr, "alsrun: -flow %s does not support -estimator %s\n", flowName, *estimator)
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	// Observability: every sink shares the process-global registry so one
@@ -258,65 +267,60 @@ func main() {
 	fmt.Printf("flow: %s/%s, %s <= %g, M=%d, seed=%d\n",
 		*flowFlag, *estimator, strings.ToUpper(*metricFlag), *threshold, *patterns, *seed)
 
-	switch strings.ToLower(*flowFlag) {
+	switch flowName {
 	case "sasimi":
 		res := runSASIMI(golden, opts, *iters, *outFile)
 		finishObs(res.Phases)
-	case "snap":
-		res, err := snap.Run(golden, snap.Config{
-			Budget: flow.Budget{
-				Metric:      opts.Metric,
-				Threshold:   opts.Threshold,
-				NumPatterns: opts.NumPatterns,
-				Seed:        opts.Seed,
-			},
-			UseBatch: opts.Estimator == batchals.Batch,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("result: area %.0f -> %.0f (ratio %.3f), %d constants set, measured error %.5f\n",
-			res.OriginalArea, res.FinalArea, res.AreaRatio(), res.NumIterations, res.FinalError)
-		fmt.Printf("runtime: %s\n", res.TotalTime.Round(time.Millisecond))
-		saveOut(*outFile, res.Approx)
-		finishObs(obs.PhaseReport{})
-	case "wu":
-		res, err := wu.Run(golden, wu.Config{
-			Budget: flow.Budget{
-				Metric:      opts.Metric,
-				Threshold:   opts.Threshold,
-				NumPatterns: opts.NumPatterns,
-				Seed:        opts.Seed,
-			},
-			UseBatch: opts.Estimator == batchals.Batch,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("result: area %.0f -> %.0f (ratio %.3f), %d literals removed, measured error %.5f\n",
-			res.OriginalArea, res.FinalArea, res.AreaRatio(), res.NumIterations, res.FinalError)
-		fmt.Printf("runtime: %s\n", res.TotalTime.Round(time.Millisecond))
-		saveOut(*outFile, res.Approx)
-		finishObs(obs.PhaseReport{})
-	case "stoch":
-		res, err := stoch.Run(golden, stoch.Config{
-			Metric:      opts.Metric,
-			Threshold:   opts.Threshold,
-			NumPatterns: opts.NumPatterns,
-			Seed:        opts.Seed,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("result: area %.0f -> %.0f (ratio %.3f), %d/%d moves accepted (%d batch-assisted), measured error %.5f\n",
-			res.OriginalArea, res.FinalArea, res.AreaRatio(), res.Accepted, res.Proposed,
-			res.BatchMoves, res.FinalError)
-		fmt.Printf("runtime: %s\n", res.TotalTime.Round(time.Millisecond))
+	case "snap", "wu", "stoch":
+		res := runGreedy(golden, flowName, opts)
 		saveOut(*outFile, res.Approx)
 		finishObs(obs.PhaseReport{})
 	default:
 		fatal(fmt.Errorf("unknown flow %q (want sasimi, snap, wu or stoch)", *flowFlag))
 	}
+}
+
+// runGreedy runs one of the flows beside SASIMI and prints its result.
+func runGreedy(golden *batchals.Network, name string, opts batchals.Options) *flow.Result {
+	b := flow.Budget{
+		Metric:      opts.Metric,
+		Threshold:   opts.Threshold,
+		NumPatterns: opts.NumPatterns,
+		Seed:        opts.Seed,
+	}
+	useBatch := opts.Estimator == batchals.Batch
+	var (
+		res  *flow.Result
+		err  error
+		what string
+	)
+	switch name {
+	case "snap":
+		res, err = snap.Run(golden, snap.Config{Budget: b, UseBatch: useBatch})
+		what = "constants set"
+	case "wu":
+		res, err = wu.Run(golden, wu.Config{Budget: b, UseBatch: useBatch})
+		what = "literals removed"
+	case "stoch":
+		var sr *stoch.Result
+		sr, err = stoch.Run(golden, stoch.Config{
+			Metric:      b.Metric,
+			Threshold:   b.Threshold,
+			NumPatterns: b.NumPatterns,
+			Seed:        b.Seed,
+		})
+		if err == nil {
+			res = &sr.Result
+			what = fmt.Sprintf("of %d moves accepted (%d batch-assisted)", sr.Proposed, sr.BatchMoves)
+		}
+	}
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("result: area %.0f -> %.0f (ratio %.3f), %d %s, measured error %.5f\n",
+		res.OriginalArea, res.FinalArea, res.AreaRatio(), res.NumIterations, what, res.FinalError)
+	fmt.Printf("runtime: %s\n", res.TotalTime.Round(time.Millisecond))
+	return res
 }
 
 func runSASIMI(golden *batchals.Network, opts batchals.Options, iters bool, outFile string) *batchals.Result {

@@ -8,6 +8,8 @@ import (
 	"batchals/internal/flow"
 	"batchals/internal/sasimi"
 	"batchals/internal/snap"
+	"batchals/internal/stoch"
+	"batchals/internal/wu"
 )
 
 // TestFlowMatchesApproximate: the builder API and the legacy wrapper are
@@ -185,10 +187,10 @@ func TestPartitionTimelineLanes(t *testing.T) {
 	}
 }
 
-// TestBudgetSentinelParity: the three config surfaces — the root Flow
-// (monolithic and partitioned), sasimi.Config and snap.Config — agree on
-// the typed validation sentinels, so errors.Is works identically no
-// matter which entry point rejected the budget.
+// TestBudgetSentinelParity: every config surface — the root Flow
+// (monolithic and partitioned), sasimi.Config, snap.Config, wu.Config and
+// stoch.Config — agrees on the typed validation sentinels, so errors.Is
+// works identically no matter which entry point rejected the budget.
 func TestBudgetSentinelParity(t *testing.T) {
 	golden, err := Benchmark("rca8")
 	if err != nil {
@@ -214,6 +216,14 @@ func TestBudgetSentinelParity(t *testing.T) {
 		}},
 		{"snap", func() error {
 			_, err := snap.Run(golden, snap.Config{Budget: flow.Budget{Threshold: -1}})
+			return err
+		}},
+		{"wu", func() error {
+			_, err := wu.Run(golden, wu.Config{Budget: flow.Budget{Threshold: -1}})
+			return err
+		}},
+		{"stoch", func() error {
+			_, err := stoch.Run(golden, stoch.Config{Threshold: -1})
 			return err
 		}},
 	}
@@ -245,6 +255,14 @@ func TestBudgetSentinelParity(t *testing.T) {
 		}},
 		{"snap", func() error {
 			_, err := snap.Run(golden, snap.Config{Budget: flow.Budget{Threshold: 0.01, NumPatterns: -1}})
+			return err
+		}},
+		{"wu", func() error {
+			_, err := wu.Run(golden, wu.Config{Budget: flow.Budget{Threshold: 0.01, NumPatterns: -1}})
+			return err
+		}},
+		{"stoch", func() error {
+			_, err := stoch.Run(golden, stoch.Config{Threshold: 0.01, NumPatterns: -5})
 			return err
 		}},
 	}

@@ -1,16 +1,21 @@
-// Package flow holds the configuration surface shared by every iterative
-// ALS flow in this library. The three flows (sasimi, snap, wu) used to
-// carry near-identical copies of the same budget fields; Budget is the
-// single shared definition they now embed, and the typed sentinel errors
-// below replace the ad-hoc fmt.Errorf validation failures so callers can
-// branch with errors.Is.
+// Package flow holds what the iterative ALS flows share. Budget is the
+// error-budget configuration every flow validates through, and the typed
+// sentinel errors below let callers branch on a rejected budget with
+// errors.Is. Score is the ΔArea/ΔError ranking of SASIMI, wu and snap.
+//
+// The greedy driver (Greedy, on a MoveSet) runs the wu and snap flows,
+// and Session is the measured state behind it, which the stochastic flow
+// uses directly. SASIMI keeps its own driver and shares only Budget,
+// CheckNetwork and Score.
 package flow
 
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"batchals/internal/cell"
+	"batchals/internal/circuit"
 	"batchals/internal/core"
 )
 
@@ -70,4 +75,53 @@ func (b *Budget) Validate(flowName string) error {
 		return fmt.Errorf("%s: %w: NumPatterns %d", flowName, ErrNoPatterns, b.NumPatterns)
 	}
 	return nil
+}
+
+// CheckNetwork rejects an input network the flow cannot run on: AEM reads
+// the outputs as one unsigned word, so it needs at most 63 of them, and
+// the network must pass circuit.Network.Validate.
+func (b *Budget) CheckNetwork(flowName string, golden *circuit.Network) error {
+	if b.Metric == core.MetricAEM && golden.NumOutputs() > 63 {
+		return fmt.Errorf("%s: AEM flow needs <= 63 outputs, have %d", flowName, golden.NumOutputs())
+	}
+	if err := golden.Validate(); err != nil {
+		return fmt.Errorf("%s: invalid input network: %w", flowName, err)
+	}
+	return nil
+}
+
+// Score ranks a transformation: area gain per unit of increased error.
+// Transformations whose estimated error is non-positive are strictly
+// better than any error-increasing one; among them a larger gain and a
+// more negative delta win. The floor of one tenth of a pattern (of m)
+// keeps the ratio finite.
+func Score(gain, delta float64, m int) float64 {
+	floor := 0.1 / float64(m)
+	if delta <= 0 {
+		// Map into a band above every positive-delta score.
+		return 1e12 * (gain + 1) * (1 - delta)
+	}
+	if delta < floor {
+		delta = floor
+	}
+	return gain / delta
+}
+
+// Result reports a flow run.
+type Result struct {
+	Approx       *circuit.Network
+	OriginalArea float64
+	FinalArea    float64
+	FinalError   float64
+	// NumIterations counts the accepted transformations.
+	NumIterations int
+	TotalTime     time.Duration
+}
+
+// AreaRatio returns FinalArea / OriginalArea.
+func (r *Result) AreaRatio() float64 {
+	if r.OriginalArea == 0 {
+		return 1
+	}
+	return r.FinalArea / r.OriginalArea
 }

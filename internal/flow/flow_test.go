@@ -10,6 +10,7 @@ import (
 	"batchals/internal/sasimi"
 	"batchals/internal/sim"
 	"batchals/internal/snap"
+	"batchals/internal/stoch"
 	"batchals/internal/wu"
 )
 
@@ -43,6 +44,12 @@ func TestFlowsWrapSentinels(t *testing.T) {
 	}
 	if _, err := wu.Run(golden, wu.Config{Budget: flow.Budget{Threshold: -1}}); !errors.Is(err, flow.ErrBadThreshold) {
 		t.Fatalf("wu: got %v, want ErrBadThreshold", err)
+	}
+	if _, err := stoch.Run(golden, stoch.Config{Threshold: -1}); !errors.Is(err, flow.ErrBadThreshold) {
+		t.Fatalf("stoch: got %v, want ErrBadThreshold", err)
+	}
+	if _, err := stoch.Run(golden, stoch.Config{Threshold: 0.1, NumPatterns: -5}); !errors.Is(err, flow.ErrNoPatterns) {
+		t.Fatalf("stoch negative patterns: got %v, want ErrNoPatterns", err)
 	}
 
 	// An explicit empty pattern override is ErrNoPatterns in sasimi.

@@ -78,8 +78,8 @@ func Run(ctx context.Context, golden *circuit.Network, cfg sasimi.Config, opt Op
 	if cfg.Patterns != nil && cfg.Patterns.NumPatterns() == 0 {
 		return nil, nil, fmt.Errorf("partition: %w: empty Patterns override", flow.ErrNoPatterns)
 	}
-	if err := golden.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("partition: invalid input network: %w", err)
+	if err := cfg.Budget.CheckNetwork("partition", golden); err != nil {
+		return nil, nil, err
 	}
 
 	tl := cfg.Timeline

@@ -14,12 +14,12 @@ import (
 	"batchals/internal/wu"
 )
 
-// FlowsRow compares the three ALS flows that share the batch estimator on
+// FlowsRow compares the four ALS flows that share the batch estimator on
 // one benchmark under the same ER budget: SASIMI (signal substitution),
-// SNAP (constant setting, Shin–Gupta style) and the stochastic certified
-// flow with late-phase batch assistance. This goes beyond the paper's
-// tables: it demonstrates the §2/§6 claim that the estimation technique is
-// flow-agnostic.
+// SNAP (constant setting, Shin–Gupta style), Wu–Qian-style literal
+// removal and the stochastic certified flow with late-phase batch
+// assistance. This goes beyond the paper's tables: it demonstrates the
+// §2/§6 claim that the estimation technique is flow-agnostic.
 type FlowsRow struct {
 	Circuit     string
 	SASIMIRatio float64
@@ -32,7 +32,7 @@ type FlowsRow struct {
 	StochTime   time.Duration
 }
 
-// Flows runs the three flows on a small benchmark set at a 1% ER budget.
+// Flows runs the four flows on a small benchmark set at a 1% ER budget.
 func Flows(opt Options) ([]FlowsRow, error) {
 	opt = opt.fill()
 	names := []string{"c880", "mul8", "cla32"}

@@ -442,11 +442,8 @@ func RunContext(goCtx context.Context, golden *circuit.Network, cfg Config) (*Re
 	if cfg.Patterns != nil && cfg.Patterns.NumPatterns() == 0 {
 		return nil, fmt.Errorf("sasimi: %w: empty Patterns override", flow.ErrNoPatterns)
 	}
-	if cfg.Metric == core.MetricAEM && golden.NumOutputs() > 63 {
-		return nil, fmt.Errorf("sasimi: AEM flow needs <= 63 outputs, have %d", golden.NumOutputs())
-	}
-	if err := golden.Validate(); err != nil {
-		return nil, fmt.Errorf("sasimi: invalid input network: %w", err)
+	if err := cfg.Budget.CheckNetwork("sasimi", golden); err != nil {
+		return nil, err
 	}
 
 	// TrackMem (ReadMemStats per phase span) keys off the caller's sinks,
@@ -790,7 +787,7 @@ func scoreCandidates(est estimator, cands []Candidate, vals *sim.Values,
 		sub := c.substituteValue(vals, scratch)
 		change.Xor(vals.Node(c.Target), sub)
 		c.Delta = est.delta(c.Target, sub, change)
-		c.Score = score(c.AreaGain, c.Delta, vals.M)
+		c.Score = flow.Score(c.AreaGain, c.Delta, vals.M)
 		o.candidateScored(iter, c)
 		if curErr+c.Delta > threshold+1e-12 {
 			continue // estimated to bust the budget
@@ -801,22 +798,6 @@ func scoreCandidates(est estimator, cands []Candidate, vals *sim.Values,
 		}
 	}
 	return best, feasible
-}
-
-// score ranks candidates: area gain per unit of increased error. ATs whose
-// estimated error is non-positive are strictly better than any
-// error-increasing AT; among them a larger gain and a more negative delta
-// win. The floor of one tenth of a pattern keeps the ratio finite.
-func score(gain, delta float64, m int) float64 {
-	floor := 0.1 / float64(m)
-	if delta <= 0 {
-		// Map into a band above every positive-delta score.
-		return 1e12 * (gain + 1) * (1 - delta)
-	}
-	if delta < floor {
-		delta = floor
-	}
-	return gain / delta
 }
 
 func subName(n *circuit.Network, c *Candidate) string {

@@ -227,7 +227,7 @@ func TestNilTracerScoringAllocs(t *testing.T) {
 			change.Xor(vals.Node(c.Target), sub)
 			c.Delta = est.delta(c.Target, sub, change)
 			c.Exact = est.exactFor(c.Target)
-			c.Score = score(c.AreaGain, c.Delta, vals.M)
+			c.Score = flow.Score(c.AreaGain, c.Delta, vals.M)
 			if c.Delta > cfg.Threshold+1e-12 {
 				continue
 			}

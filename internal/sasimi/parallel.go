@@ -6,6 +6,7 @@ import (
 	"batchals/internal/bitvec"
 	"batchals/internal/circuit"
 	"batchals/internal/core"
+	"batchals/internal/flow"
 	"batchals/internal/obs"
 	"batchals/internal/par"
 )
@@ -148,7 +149,7 @@ func scoreCandidatesSharded(ctx *iterContext, cands []Candidate,
 			}
 			c.Delta = (float64(inc) - float64(dec)) / float64(m)
 		}
-		c.Score = score(c.AreaGain, c.Delta, m)
+		c.Score = flow.Score(c.AreaGain, c.Delta, m)
 		o.candidateScored(iter, c)
 		if curErr+c.Delta > threshold+1e-12 {
 			continue

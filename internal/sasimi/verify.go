@@ -9,6 +9,7 @@ import (
 	"batchals/internal/circuit"
 	"batchals/internal/core"
 	"batchals/internal/emetric"
+	"batchals/internal/flow"
 	"batchals/internal/obs"
 	"batchals/internal/par"
 	"batchals/internal/sim"
@@ -196,7 +197,7 @@ func verifyTopK(goCtx context.Context, net *circuit.Network, vals *sim.Values,
 			c.Delta = core.ExactDelta(net, vals, c.Target, sub, st, cfg.Metric)
 		}
 		c.Exact = true
-		c.Score = score(c.AreaGain, c.Delta, vals.M)
+		c.Score = flow.Score(c.AreaGain, c.Delta, vals.M)
 		o.verified(c, batchDelta, c.Delta)
 		if curErr+c.Delta > cfg.Threshold+1e-12 {
 			continue
@@ -294,7 +295,7 @@ func verifyTopKParallel(goCtx context.Context, net *circuit.Network, vals *sim.V
 		}
 		c.Delta = after - before
 		c.Exact = true
-		c.Score = score(c.AreaGain, c.Delta, m)
+		c.Score = flow.Score(c.AreaGain, c.Delta, m)
 		o.verified(c, batchDelta, c.Delta)
 		if curErr+c.Delta > cfg.Threshold+1e-12 {
 			continue

@@ -15,19 +15,23 @@
 package stoch
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
-	"time"
 
 	"batchals/internal/bitvec"
 	"batchals/internal/cell"
 	"batchals/internal/circuit"
 	"batchals/internal/core"
-	"batchals/internal/emetric"
+	"batchals/internal/flow"
 	"batchals/internal/sim"
+)
+
+// The annealing schedule and the batch-mode sample size.
+const (
+	temp0      = 4.0  // initial acceptance temperature, in area units
+	cooling    = 0.99 // temperature factor per move
+	batchWidth = 32   // random candidates ranked per batch-mode move
 )
 
 // Config parameterises a stochastic flow run.
@@ -41,64 +45,21 @@ type Config struct {
 	Seed        int64
 	// Moves is the number of stochastic proposals (default 300).
 	Moves int
-	// Temp0 is the initial acceptance temperature in area units (default
-	// 4); Cooling multiplies it each move (default 0.99).
-	Temp0   float64
-	Cooling float64
 	// SwitchFrac is the consumed-budget fraction after which the flow
 	// switches from single-candidate evaluation to batch selection
 	// (default 0.5). Set above 1 to disable batch mode.
 	SwitchFrac float64
-	// BatchWidth is how many random candidates each batch-mode move
-	// considers (default 32).
-	BatchWidth int
 	// Library provides the area model (default cell.Default()).
 	Library *cell.Library
 }
 
-func (cfg *Config) fillDefaults() {
-	if cfg.NumPatterns == 0 {
-		cfg.NumPatterns = 10000
-	}
-	if cfg.Moves == 0 {
-		cfg.Moves = 300
-	}
-	if cfg.Temp0 == 0 {
-		cfg.Temp0 = 4
-	}
-	if cfg.Cooling == 0 {
-		cfg.Cooling = 0.99
-	}
-	if cfg.SwitchFrac == 0 {
-		cfg.SwitchFrac = 0.5
-	}
-	if cfg.BatchWidth == 0 {
-		cfg.BatchWidth = 32
-	}
-	if cfg.Library == nil {
-		cfg.Library = cell.Default()
-	}
-}
-
-// Result reports a stochastic flow run.
+// Result reports a stochastic flow run. The embedded NumIterations counts
+// the accepted moves.
 type Result struct {
-	Approx        *circuit.Network
-	OriginalArea  float64
-	FinalArea     float64
-	FinalError    float64
-	Accepted      int // accepted moves
-	Proposed      int // proposed moves (== cfg.Moves unless it ran dry)
+	flow.Result
+	Proposed      int // proposed moves (== cfg.Moves)
 	BatchMoves    int // moves decided in batch mode
 	SwitchedAtErr float64
-	TotalTime     time.Duration
-}
-
-// AreaRatio returns FinalArea / OriginalArea.
-func (r *Result) AreaRatio() float64 {
-	if r.OriginalArea == 0 {
-		return 1
-	}
-	return r.FinalArea / r.OriginalArea
 }
 
 // proposal is one randomly drawn substitution.
@@ -111,43 +72,35 @@ type proposal struct {
 
 // Run executes the stochastic flow on a copy of golden.
 func Run(golden *circuit.Network, cfg Config) (*Result, error) {
-	start := time.Now()
-	cfg.fillDefaults()
-	if cfg.Threshold < 0 {
-		return nil, errors.New("stoch: negative threshold")
+	if cfg.Moves == 0 {
+		cfg.Moves = 300
 	}
-	if cfg.Metric == core.MetricAEM && golden.NumOutputs() > 63 {
-		return nil, fmt.Errorf("stoch: AEM flow needs <= 63 outputs, have %d", golden.NumOutputs())
+	if cfg.SwitchFrac == 0 {
+		cfg.SwitchFrac = 0.5
 	}
-	if err := golden.Validate(); err != nil {
-		return nil, fmt.Errorf("stoch: invalid input network: %w", err)
+	s, err := flow.Start("stoch", golden, flow.Budget{
+		Metric: cfg.Metric, Threshold: cfg.Threshold, NumPatterns: cfg.NumPatterns,
+		Seed: cfg.Seed, Library: cfg.Library,
+	})
+	if err != nil {
+		return nil, err
 	}
-
+	lib := s.Library
 	r := rand.New(rand.NewSource(cfg.Seed + 7919))
-	patterns := sim.RandomPatterns(golden.NumInputs(), cfg.NumPatterns, cfg.Seed)
-	goldenOut := sim.OutputMatrix(golden, sim.Simulate(golden, patterns))
-	approx := golden.Clone()
-	res := &Result{Approx: approx, OriginalArea: cfg.Library.NetworkArea(golden)}
-	res.FinalArea = res.OriginalArea
-	res.SwitchedAtErr = math.NaN()
-
-	temp := cfg.Temp0
-	scratch := bitvec.New(cfg.NumPatterns)
-	change := bitvec.New(cfg.NumPatterns)
+	res := &Result{SwitchedAtErr: math.NaN()}
+	temp := temp0
+	scratch := bitvec.New(s.Vals.M)
+	change := bitvec.New(s.Vals.M)
 
 	for move := 0; move < cfg.Moves; move++ {
-		temp *= cfg.Cooling
+		temp *= cooling
 		res.Proposed++
+		approx, vals := s.Approx, s.Vals
 
-		vals := sim.Simulate(approx, patterns)
-		st := emetric.NewState(goldenOut, sim.OutputMatrix(approx, vals))
-		curErr := cfg.Metric.Value(st)
-		res.FinalError = curErr
-
-		arrival := cfg.Library.NodeArrival(approx)
-		batchMode := cfg.Threshold > 0 && curErr >= cfg.SwitchFrac*cfg.Threshold
+		arrival := lib.NodeArrival(approx)
+		batchMode := cfg.Threshold > 0 && s.Err >= cfg.SwitchFrac*cfg.Threshold
 		if batchMode && math.IsNaN(res.SwitchedAtErr) {
-			res.SwitchedAtErr = curErr
+			res.SwitchedAtErr = s.Err
 		}
 
 		var best *proposal
@@ -156,19 +109,15 @@ func Run(golden *circuit.Network, cfg Config) (*Result, error) {
 			// CPM in one pass, take the best feasible.
 			cpm := core.Build(approx, vals)
 			res.BatchMoves++
-			for k := 0; k < cfg.BatchWidth; k++ {
-				p := draw(approx, vals, arrival, cfg, r)
+			for k := 0; k < batchWidth; k++ {
+				p := draw(approx, vals, arrival, lib, r)
 				if p == nil {
 					continue
 				}
-				sub := substituteValue(approx, vals, p, scratch)
+				sub := substituteValue(vals, p, scratch)
 				change.Xor(vals.Node(p.target), sub)
-				if cfg.Metric == core.MetricAEM {
-					p.delta = cpm.DeltaAEM(p.target, change, st)
-				} else {
-					p.delta = cpm.DeltaER(p.target, change, st)
-				}
-				if curErr+p.delta > cfg.Threshold+1e-12 {
+				p.delta = s.Delta(cpm, p.target, change)
+				if !s.Feasible(p.delta) {
 					continue
 				}
 				if best == nil || p.gain/(p.delta+1e-9) > best.gain/(best.delta+1e-9) {
@@ -178,13 +127,13 @@ func Run(golden *circuit.Network, cfg Config) (*Result, error) {
 		} else {
 			// Early phase: a single proposal, evaluated exactly (cheap
 			// because it is just one candidate — the paper's observation).
-			p := draw(approx, vals, arrival, cfg, r)
+			p := draw(approx, vals, arrival, lib, r)
 			if p == nil {
 				continue
 			}
-			sub := substituteValue(approx, vals, p, scratch)
-			p.delta = core.ExactDelta(approx, vals, p.target, sub, st, cfg.Metric)
-			if curErr+p.delta > cfg.Threshold+1e-12 {
+			sub := substituteValue(vals, p, scratch)
+			p.delta = core.ExactDelta(approx, vals, p.target, sub, s.State, cfg.Metric)
+			if !s.Feasible(p.delta) {
 				continue
 			}
 			// Metropolis acceptance on the area gain.
@@ -193,28 +142,16 @@ func Run(golden *circuit.Network, cfg Config) (*Result, error) {
 			}
 			best = p
 		}
-		if best == nil {
-			continue
+		if best != nil {
+			s.Try(func(n *circuit.Network) { apply(n, best) })
 		}
-
-		backup := approx.Clone()
-		apply(approx, best)
-		newVals := sim.Simulate(approx, patterns)
-		newSt := emetric.NewState(goldenOut, sim.OutputMatrix(approx, newVals))
-		actual := cfg.Metric.Value(newSt)
-		if actual > cfg.Threshold+1e-12 {
-			*approx = *backup
-			continue
-		}
-		res.Accepted++
-		res.FinalArea = cfg.Library.NetworkArea(approx)
-		res.FinalError = actual
 	}
 
-	res.TotalTime = time.Since(start)
-	if err := approx.Validate(); err != nil {
-		return nil, fmt.Errorf("stoch: flow corrupted the network: %w", err)
+	fr, err := s.Finish()
+	if err != nil {
+		return nil, err
 	}
+	res.Result = *fr
 	return res, nil
 }
 
@@ -224,7 +161,7 @@ func Run(golden *circuit.Network, cfg Config) (*Result, error) {
 // pair would almost never be error-feasible; biasing by observed
 // similarity mirrors the almost-identical-signal ATs the certified flow
 // mutates over.
-func draw(net *circuit.Network, vals *sim.Values, arrival []float64, cfg Config, r *rand.Rand) *proposal {
+func draw(net *circuit.Network, vals *sim.Values, arrival []float64, lib *cell.Library, r *rand.Rand) *proposal {
 	live := net.LiveNodes()
 	var gates []circuit.NodeID
 	for _, id := range live {
@@ -235,8 +172,8 @@ func draw(net *circuit.Network, vals *sim.Values, arrival []float64, cfg Config,
 	if len(gates) == 0 {
 		return nil
 	}
-	invArea := cfg.Library.GateArea(circuit.KindNot, 1)
-	invDelay := cfg.Library.GateDelay(circuit.KindNot)
+	invArea := lib.GateArea(circuit.KindNot, 1)
+	invDelay := lib.GateDelay(circuit.KindNot)
 	words := bitvec.Words(vals.M)
 	if words > 4 {
 		words = 4
@@ -280,7 +217,7 @@ func draw(net *circuit.Network, vals *sim.Values, arrival []float64, cfg Config,
 		}
 		gain := 0.0
 		for _, id := range net.MFFCExcluding(t, bestS) {
-			gain += cfg.Library.GateArea(net.Kind(id), len(net.Fanins(id)))
+			gain += lib.GateArea(net.Kind(id), len(net.Fanins(id)))
 		}
 		if bestInv {
 			gain -= invArea
@@ -293,16 +230,7 @@ func draw(net *circuit.Network, vals *sim.Values, arrival []float64, cfg Config,
 	return nil
 }
 
-func popcount(w uint64) int { // small local helper; hot path uses <=4 words
-	c := 0
-	for w != 0 {
-		w &= w - 1
-		c++
-	}
-	return c
-}
-
-func substituteValue(net *circuit.Network, vals *sim.Values, p *proposal, scratch *bitvec.Vec) *bitvec.Vec {
+func substituteValue(vals *sim.Values, p *proposal, scratch *bitvec.Vec) *bitvec.Vec {
 	if p.inverted {
 		scratch.Not(vals.Node(p.sub))
 		return scratch

@@ -37,9 +37,9 @@ func TestStochMakesProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Accepted == 0 || res.FinalArea >= res.OriginalArea {
+	if res.NumIterations == 0 || res.FinalArea >= res.OriginalArea {
 		t.Fatalf("no progress: accepted=%d area %v -> %v",
-			res.Accepted, res.OriginalArea, res.FinalArea)
+			res.NumIterations, res.OriginalArea, res.FinalArea)
 	}
 }
 
@@ -88,9 +88,9 @@ func TestStochDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.FinalArea != b.FinalArea || a.Accepted != b.Accepted {
+	if a.FinalArea != b.FinalArea || a.NumIterations != b.NumIterations {
 		t.Fatalf("same seed differs: %v/%d vs %v/%d",
-			a.FinalArea, a.Accepted, b.FinalArea, b.Accepted)
+			a.FinalArea, a.NumIterations, b.FinalArea, b.NumIterations)
 	}
 }
 

@@ -11,21 +11,16 @@
 // function in a non-monotone way the original's error model does not
 // cover) and are left alone, as is MUX.
 //
-// The flow is the same greedy iteration as SASIMI and reuses the batch CPM
-// estimator for the increased error of every candidate deletion — i.e.
+// The flow is the greedy iteration of flow.Greedy, which reuses the batch
+// CPM estimator for the increased error of every candidate deletion — i.e.
 // this package is the paper's technique applied to a second published AT
 // type.
 package wu
 
 import (
-	"fmt"
-	"time"
-
 	"batchals/internal/bitvec"
 	"batchals/internal/cell"
 	"batchals/internal/circuit"
-	"batchals/internal/core"
-	"batchals/internal/emetric"
 	"batchals/internal/flow"
 	"batchals/internal/sim"
 )
@@ -42,138 +37,32 @@ type Config struct {
 	UseBatch bool
 }
 
-// Result reports a run.
-type Result struct {
-	Approx        *circuit.Network
-	OriginalArea  float64
-	FinalArea     float64
-	FinalError    float64
-	NumIterations int
-	TotalTime     time.Duration
-}
-
-// AreaRatio returns FinalArea / OriginalArea.
-func (r *Result) AreaRatio() float64 {
-	if r.OriginalArea == 0 {
-		return 1
-	}
-	return r.FinalArea / r.OriginalArea
-}
-
-// candidate is one literal deletion: remove fanin pin (index) of gate.
-type candidate struct {
-	gate  circuit.NodeID
-	pin   int
-	gain  float64
-	delta float64
-}
-
 // Run executes the literal-removal flow on a copy of golden.
-func Run(golden *circuit.Network, cfg Config) (*Result, error) {
-	start := time.Now()
-	cfg.Budget.FillDefaults()
-	if err := cfg.Budget.Validate("wu"); err != nil {
-		return nil, err
-	}
-	if cfg.Metric == core.MetricAEM && golden.NumOutputs() > 63 {
-		return nil, fmt.Errorf("wu: AEM flow needs <= 63 outputs, have %d", golden.NumOutputs())
-	}
-	if err := golden.Validate(); err != nil {
-		return nil, fmt.Errorf("wu: invalid input network: %w", err)
-	}
+func Run(golden *circuit.Network, cfg Config) (*flow.Result, error) {
+	return flow.Greedy("wu", golden, cfg.Budget, cfg.UseBatch, literals{})
+}
 
-	patterns := sim.RandomPatterns(golden.NumInputs(), cfg.NumPatterns, cfg.Seed)
-	goldenOut := sim.OutputMatrix(golden, sim.Simulate(golden, patterns))
-	approx := golden.Clone()
-	res := &Result{Approx: approx, OriginalArea: cfg.Library.NetworkArea(golden)}
-	res.FinalArea = res.OriginalArea
-	m := patterns.NumPatterns()
-	newVal := bitvec.New(m)
-	change := bitvec.New(m)
+// literals is the move set: a move removes fanin pin Arg of gate Target.
+type literals struct{}
 
-	for iter := 1; ; iter++ {
-		if cfg.MaxIterations > 0 && iter > cfg.MaxIterations {
-			break
+func (literals) Moves(net *circuit.Network, vals *sim.Values, lib *cell.Library, yield func(flow.Move, *bitvec.Vec)) {
+	newVal := bitvec.New(vals.M)
+	for _, id := range net.LiveNodes() {
+		if !removableKind(net.Kind(id)) {
+			continue
 		}
-		vals := sim.Simulate(approx, patterns)
-		st := emetric.NewState(goldenOut, sim.OutputMatrix(approx, vals))
-		curErr := cfg.Metric.Value(st)
-		res.FinalError = curErr
-
-		var cpm *core.CPM
-		if cfg.UseBatch {
-			cpm = core.Build(approx, vals)
-		}
-
-		var best *candidate
-		bestScore := -1.0
-		for _, id := range approx.LiveNodes() {
-			kind := approx.Kind(id)
-			if !removableKind(kind) {
+		for pin := range net.Fanins(id) {
+			gain := deletionGain(net, lib, id, pin)
+			if gain <= 0 {
 				continue
 			}
-			fanins := approx.Fanins(id)
-			for pin := range fanins {
-				gain := deletionGain(approx, cfg.Library, id, pin)
-				if gain <= 0 {
-					continue
-				}
-				reducedValue(approx, vals, id, pin, newVal)
-				change.Xor(vals.Node(id), newVal)
-				var delta float64
-				if cfg.UseBatch {
-					if cfg.Metric == core.MetricAEM {
-						delta = cpm.DeltaAEM(id, change, st)
-					} else {
-						delta = cpm.DeltaER(id, change, st)
-					}
-				} else {
-					delta = float64(change.Count()) / float64(m)
-				}
-				if curErr+delta > cfg.Threshold+1e-12 {
-					continue
-				}
-				score := gain / maxf(delta, 0.1/float64(m))
-				if delta <= 0 {
-					score = 1e12 * (gain + 1) * (1 - delta)
-				}
-				if score > bestScore {
-					bestScore = score
-					best = &candidate{gate: id, pin: pin, gain: gain, delta: delta}
-				}
-			}
+			reducedValue(net, vals, id, pin, newVal)
+			yield(flow.Move{Target: id, Gain: gain, Arg: pin}, newVal)
 		}
-		if best == nil {
-			break
-		}
-
-		backup := approx.Clone()
-		applyDeletion(approx, best.gate, best.pin)
-		newVals := sim.Simulate(approx, patterns)
-		newSt := emetric.NewState(goldenOut, sim.OutputMatrix(approx, newVals))
-		actual := cfg.Metric.Value(newSt)
-		if actual > cfg.Threshold+1e-12 {
-			*approx = *backup
-			break
-		}
-		res.NumIterations++
-		res.FinalArea = cfg.Library.NetworkArea(approx)
-		res.FinalError = actual
 	}
-
-	res.TotalTime = time.Since(start)
-	if err := approx.Validate(); err != nil {
-		return nil, fmt.Errorf("wu: flow corrupted the network: %w", err)
-	}
-	return res, nil
 }
 
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
+func (literals) Apply(net *circuit.Network, mv flow.Move) { applyDeletion(net, mv.Target, mv.Arg) }
 
 // removableKind reports whether literal deletion is defined for the kind.
 func removableKind(k circuit.Kind) bool {

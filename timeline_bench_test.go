@@ -15,6 +15,7 @@ package batchals
 //     -short mode.
 
 import (
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -106,7 +107,7 @@ func TestTimelineOverheadAllocations(t *testing.T) {
 }
 
 // TestTimelineOverheadOnParallelEstimate pins the timing half: the median
-// traced/untraced ratio over interleaved pairs must stay within the 2%
+// traced/untraced ratio over 101 interleaved pairs must stay within the 2%
 // budget (plus a small absolute guard for sub-millisecond jitter).
 func TestTimelineOverheadOnParallelEstimate(t *testing.T) {
 	if raceEnabled {
@@ -125,18 +126,24 @@ func TestTimelineOverheadOnParallelEstimate(t *testing.T) {
 	tlEstimateOnce(t, golden, nil)
 	tlEstimateOnce(t, golden, rec)
 
-	const pairs = 7
+	// Each pair times both sides twice in the order untraced, traced,
+	// traced, untraced, so neither side always runs first and a linear
+	// drift in host speed cancels out of the pair's ratio. Every timed
+	// run starts after a forced GC, so none pays for another's garbage.
+	const pairs = 101
+	timed := func(r *timeline.Recorder) time.Duration {
+		rec.Reset()
+		runtime.GC()
+		start := time.Now()
+		tlEstimateOnce(t, golden, r)
+		return time.Since(start)
+	}
 	ratios := make([]float64, 0, pairs)
 	for i := 0; i < pairs; i++ {
-		start := time.Now()
-		tlEstimateOnce(t, golden, nil)
-		off := time.Since(start)
-
-		rec.Reset()
-		start = time.Now()
-		tlEstimateOnce(t, golden, rec)
-		on := time.Since(start)
-
+		off := timed(nil)
+		on := timed(rec)
+		on += timed(rec)
+		off += timed(nil)
 		ratios = append(ratios, float64(on)/float64(off))
 	}
 	sort.Float64s(ratios)
