@@ -171,11 +171,10 @@ func runJob(ctx context.Context, spec serve.JobSpec, run *serve.Run) error {
 	return nil
 }
 
-func loadCircuit(spec string) (*batchals.Network, error) {
-	if strings.ContainsAny(spec, "/.") {
-		return batchals.Load(spec)
-	}
-	return batchals.Benchmark(spec)
+// loadCircuit resolves a job's circuit. The daemon serves registered
+// benchmarks only; it never reads a file named by a client.
+func loadCircuit(name string) (*batchals.Network, error) {
+	return batchals.Benchmark(name)
 }
 
 func fatal(err error) {

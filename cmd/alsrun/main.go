@@ -259,6 +259,14 @@ func main() {
 		if err := obs.WriteSummary(os.Stdout, phases, snapshot); err != nil {
 			fatal(err)
 		}
+		// Always-on counters: how much batch scoring was carried across
+		// iterations rather than recomputed over every pattern word.
+		full := obs.Default().Counter("sasimi_score_full_total").Value()
+		carried := obs.Default().Counter("sasimi_score_carried_total").Value()
+		if n := full + carried; n > 0 {
+			fmt.Printf("batch scores: %d full, %d carried (%.1f%% reused)\n",
+				full, carried, 100*float64(carried)/float64(n))
+		}
 	}
 
 	fmt.Printf("circuit: %s (%d inputs, %d outputs, area %.0f, delay %.0f)\n",

@@ -76,6 +76,10 @@ type CPM struct {
 	// path uses the *Partial kernels with per-worker state instead.
 	erInc, erDec, erTmp *bitvec.Vec
 
+	// foldScratch holds Refresh's per-shard fold buffers, reused across
+	// refreshes.
+	foldScratch []foldScratch
+
 	// restricted marks a CPM built by BuildForOutputs: its output axis is
 	// a subset, so the whole-circuit error queries are unavailable.
 	restricted bool

@@ -157,21 +157,60 @@ func (c *CPM) DeltaERPartial(nx circuit.NodeID, chg []uint64, st *emetric.State,
 	}
 	statPartialER.Inc()
 	ap := c.AnyProp(nx).WordsSlice()
-	wa := st.WrongAny.WordsSlice()
 	row := c.p[nx]
 	for w := w0; w < w1; w++ {
+		if cw := chg[w]; cw != 0 {
+			i, d := c.erWord(row, ap[w], cw, st, w)
+			inc += i
+			dec += d
+		}
+	}
+	return inc, dec
+}
+
+// CarryER brings the exact ΔER counts of a change injected at nx from one
+// error state to another by recomputing only the pattern words on which
+// the two states differ: given inc and dec, the counts under prev, it
+// returns the counts under st. The caller guarantees that nx's row (and
+// so its AnyProp) and the change mask are unchanged since the counts were
+// taken, and that st and prev agree outside words. Algorithm 1 is
+// word-local, so every other word contributes the same to both counts,
+// and the integer update inc + new(words) − old(words) equals the full
+// recount exactly. Only the listed words of chg are read.
+//
+// Safe to call from concurrent workers, like DeltaERPartial.
+//
+//als:allocfree
+func (c *CPM) CarryER(nx circuit.NodeID, chg []uint64, st, prev *emetric.State, words []int, inc, dec int64) (int64, int64) {
+	if c.restricted {
+		panic("core: CarryER on an output-restricted CPM")
+	}
+	statPartialER.Inc()
+	ap := c.AnyProp(nx).WordsSlice()
+	row := c.p[nx]
+	for _, w := range words {
 		cw := chg[w]
 		if cw == 0 {
 			continue
 		}
-		inc += int64(bits.OnesCount64(cw &^ wa[w] & ap[w]))
-		dw := cw & wa[w]
-		for o := 0; o < c.o && dw != 0; o++ {
-			dw &^= row[o].WordsSlice()[w] ^ st.W.Row(o).WordsSlice()[w]
-		}
-		dec += int64(bits.OnesCount64(dw))
+		i1, d1 := c.erWord(row, ap[w], cw, st, w)
+		i0, d0 := c.erWord(row, ap[w], cw, prev, w)
+		inc += i1 - i0
+		dec += d1 - d0
 	}
 	return inc, dec
+}
+
+// erWord is Algorithm 1 on pattern word w: the newly-wrong and the
+// fully-corrected patterns among the word's changed lanes cw, given the
+// word ap of nx's AnyProp and nx's propagation row.
+func (c *CPM) erWord(row []*bitvec.Vec, ap, cw uint64, st *emetric.State, w int) (inc, dec int64) {
+	wa := st.WrongAny.WordsSlice()[w]
+	dw := cw & wa
+	for o := 0; o < c.o && dw != 0; o++ {
+		dw &^= row[o].WordsSlice()[w] ^ st.W.Row(o).WordsSlice()[w]
+	}
+	return int64(bits.OnesCount64(cw &^ wa & ap)), int64(bits.OnesCount64(dw))
 }
 
 // DeltaAEMPartial computes the word range [w0, w1) of a DeltaAEM query,

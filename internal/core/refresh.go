@@ -58,6 +58,11 @@ type RefreshStats struct {
 	// TotalRows is the number of live rows after the refresh; the dirty
 	// fraction is DirtyRows/TotalRows.
 	TotalRows int
+	// Changed lists the recomputed rows whose content differs from before
+	// the refresh, added rows included, in reverse topological order. The
+	// dirty set is a conservative closure; on c880 about a third of it
+	// changes.
+	Changed []circuit.NodeID
 	// Duration is the wall time of the refresh.
 	Duration time.Duration
 }
@@ -93,15 +98,18 @@ type RefreshStats struct {
 // every fanout row are unchanged, so recomputation would reproduce them
 // bit for bit.
 //
-// The recompute zeroes the dirty rows, refills their base cases and re-runs
-// Build's reverse-topological fold restricted to dirty rows, reading clean
-// fanout rows as-is. The pattern axis is sharded over the pool exactly as
-// in BuildParallel; the fold is word-local, so every word receives the
-// sequential builder's operation sequence regardless of worker count.
+// The recompute re-runs Build's reverse-topological fold restricted to
+// dirty rows, from their base cases, reading clean fanout rows as-is. The
+// pattern axis is sharded over the pool exactly as in BuildParallel; the
+// fold is word-local, so every word receives the sequential builder's
+// operation sequence regardless of worker count. Each shard compares the
+// recomputed words with the old ones as it writes them back, so the
+// result also names the rows whose content actually changed
+// (RefreshStats.Changed).
 //
-// Lazy caches are invalidated conservatively: AnyProp per dirty or removed
-// row, the exactness certificate entirely (the structure changed), and the
-// AEM column cache entirely (the error state changes every accept anyway).
+// Lazy caches are invalidated per changed or removed row (AnyProp), the
+// exactness certificate entirely (the structure changed), and the AEM
+// column cache entirely (the error state changes every accept anyway).
 // BuildTime is reset to the refresh duration, so flows that report
 // per-iteration CPM cost see the incremental cost.
 func (c *CPM) Refresh(ed Edit, changed []circuit.NodeID, pool *par.Pool) RefreshStats {
@@ -158,46 +166,46 @@ func (c *CPM) Refresh(ed Edit, changed []circuit.NodeID, pool *par.Pool) Refresh
 
 	// Backward closure over rows: P[n] depends on P[nf] for every fanout
 	// nf, which sits later in topological order, so one reverse pass with
-	// finalised fanout flags closes the set.
+	// finalised fanout flags closes the set. dpos[id] is id's position in
+	// dirtyList plus one (0: clean).
 	order := n.TopoOrder()
-	dirty := make([]bool, n.NumSlots())
+	dpos := make([]int32, n.NumSlots())
 	var dirtyList []circuit.NodeID // reverse topological order
 	for idx := len(order) - 1; idx >= 0; idx-- {
 		id := order[idx]
 		d := head[id]
 		if !d {
 			for _, nf := range n.Fanouts(id) {
-				if dirty[nf] {
+				if dpos[nf] != 0 {
 					d = true
 					break
 				}
 			}
 		}
 		if d {
-			dirty[id] = true
 			dirtyList = append(dirtyList, id)
+			dpos[id] = int32(len(dirtyList))
 		}
 	}
 
-	// Reset dirty rows: allocate missing ones (added nodes), zero the rest,
-	// refill base cases.
-	for _, id := range dirtyList {
-		row := c.p[id]
-		if row == nil {
-			row = make([]*bitvec.Vec, c.o)
+	// Allocate the rows of added nodes; they count as changed. The other
+	// dirty rows are overwritten in place by the fold.
+	added := make([]bool, len(dirtyList))
+	for i, id := range dirtyList {
+		if c.p[id] == nil {
+			row := make([]*bitvec.Vec, c.o)
 			for o := 0; o < c.o; o++ {
 				row[o] = bitvec.New(c.m)
 			}
 			c.p[id] = row
-		} else {
-			for o := 0; o < c.o; o++ {
-				row[o].Zero()
-			}
+			added[i] = true
 		}
 	}
+	// drives[i] lists the outputs dirtyList[i] drives (the base case).
+	drives := make([][]int, len(dirtyList))
 	for o, out := range n.Outputs() {
-		if dirty[out.Node] {
-			c.p[out.Node][o].Fill()
+		if i := dpos[out.Node]; i != 0 {
+			drives[i-1] = append(drives[i-1], o)
 		}
 	}
 
@@ -205,6 +213,10 @@ func (c *CPM) Refresh(ed Edit, changed []circuit.NodeID, pool *par.Pool) Refresh
 	// rows only, pattern-sharded as in BuildParallel. dirtyList is already
 	// in reverse topological order, so a dirty fanout row is final before
 	// any dirty fanin row reads it; clean fanout rows are correct as-is.
+	// Each shard folds a row's words into its own scratch first and then
+	// writes back, noting whether any word differs from the old content:
+	// that is how Refresh tells the rows that changed from the ones that
+	// were merely recomputed, without keeping a copy of the old rows.
 	fanouts := make([][]circuit.NodeID, len(dirtyList))
 	for i, id := range dirtyList {
 		fanouts[i] = uniqueFanouts(n, id)
@@ -213,13 +225,30 @@ func (c *CPM) Refresh(ed Edit, changed []circuit.NodeID, pool *par.Pool) Refresh
 	lastWord := bitvec.Words(c.m) - 1
 	tail := bitvec.TailMask(c.m)
 	shards := par.Shards(c.m, pool.Workers())
+	for len(c.foldScratch) < len(shards) {
+		c.foldScratch = append(c.foldScratch, foldScratch{})
+	}
 	pool.Label("cpm.refresh", obs.PhaseCPMBuild)
 	pool.Do(len(shards), func(_, si int) {
 		sh := shards[si]
-		d := make([]uint64, bitvec.Words(c.m))
+		span := sh.W1 - sh.W0
+		fs := &c.foldScratch[si]
+		fs.reset(c.o, span, len(dirtyList))
+		d := fs.d[:span]
+		rows := fs.rows
 		var one, zero []uint64
 		for i, id := range dirtyList {
 			prow := c.p[id]
+			clear(rows)
+			for _, o := range drives[i] {
+				ro := rows[o*span : (o+1)*span]
+				for k := range ro {
+					ro[k] = ^uint64(0)
+				}
+				if sh.W1-1 == lastWord {
+					ro[span-1] = tail
+				}
+			}
 			for _, nf := range fanouts[i] {
 				kind := n.Kind(nf)
 				fanins := n.Fanins(nf)
@@ -242,7 +271,7 @@ func (c *CPM) Refresh(ed Edit, changed []circuit.NodeID, pool *par.Pool) Refresh
 					if w == lastWord {
 						dw &= tail
 					}
-					d[w] = dw
+					d[w-sh.W0] = dw
 					dAny = dAny || dw != 0
 				}
 				if !dAny {
@@ -253,21 +282,42 @@ func (c *CPM) Refresh(ed Edit, changed []circuit.NodeID, pool *par.Pool) Refresh
 					if !frow[o].AnyWords(sh.W0, sh.W1) {
 						continue
 					}
-					fo := frow[o].WordsSlice()
-					po := prow[o].WordsSlice()
-					for w := sh.W0; w < sh.W1; w++ {
-						po[w] |= fo[w] & d[w]
+					fo := frow[o].WordsSlice()[sh.W0:sh.W1]
+					ro := rows[o*span : (o+1)*span]
+					for k := range ro {
+						ro[k] |= fo[k] & d[k]
 					}
 				}
 			}
+			changed := false
+			for o := 0; o < c.o; o++ {
+				po := prow[o].WordsSlice()[sh.W0:sh.W1]
+				ro := rows[o*span : (o+1)*span]
+				for k, x := range ro {
+					if po[k] != x {
+						po[k] = x
+						changed = true
+					}
+				}
+			}
+			fs.changed[i] = changed
 		}
 	})
 
-	// Cache invalidation: only dirty rows can have stale AnyProp entries
-	// (removed rows were cleared above); the certificate and AEM columns
-	// are whole-CPM artifacts, dropped entirely.
-	for _, id := range dirtyList {
-		c.anyProp[id].Store(nil)
+	// Collect the rows whose content changed in any shard. Cache
+	// invalidation: only they can have stale AnyProp entries (removed rows
+	// were cleared above); the certificate and AEM columns are whole-CPM
+	// artifacts, dropped entirely.
+	var changedRows []circuit.NodeID
+	for i, id := range dirtyList {
+		ch := added[i]
+		for si := range shards {
+			ch = ch || c.foldScratch[si].changed[i]
+		}
+		if ch {
+			changedRows = append(changedRows, id)
+			c.anyProp[id].Store(nil)
+		}
 	}
 	c.cert.Store(nil)
 	c.aemFor = nil
@@ -283,7 +333,30 @@ func (c *CPM) Refresh(ed Edit, changed []circuit.NodeID, pool *par.Pool) Refresh
 	statCPMRefreshNS.Add(int64(c.buildTime))
 	statCPMDirtyRows.Add(int64(len(dirtyList)))
 	statCPMCleanRows.Add(int64(live - len(dirtyList)))
-	return RefreshStats{DirtyRows: len(dirtyList), TotalRows: live, Duration: c.buildTime}
+	return RefreshStats{DirtyRows: len(dirtyList), TotalRows: live, Changed: changedRows, Duration: c.buildTime}
+}
+
+// foldScratch is one refresh shard's reusable fold state, kept on the CPM
+// across refreshes: the shard's words of the row being folded (output
+// planes back to back), one Boolean difference, and the per-dirty-row
+// changed flags.
+type foldScratch struct {
+	rows, d []uint64
+	changed []bool
+}
+
+func (fs *foldScratch) reset(outputs, span, dirty int) {
+	if n := outputs * span; cap(fs.rows) < n {
+		fs.rows = make([]uint64, n)
+	}
+	fs.rows = fs.rows[:outputs*span]
+	if cap(fs.d) < span {
+		fs.d = make([]uint64, span)
+	}
+	if cap(fs.changed) < dirty {
+		fs.changed = make([]bool, dirty)
+	}
+	fs.changed = fs.changed[:dirty]
 }
 
 // Values returns the simulation value table the CPM was built against —

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"batchals/internal/bench"
@@ -218,4 +219,134 @@ func TestEngineMatchesScratchState(t *testing.T) {
 			t.Fatalf("edit %d: expected a dirty-region refresh, got full=%v stats=%+v", edit, full, stats)
 		}
 	}
+}
+
+// TestEngineChangesAreExact pins what Engine.Changes reports after a
+// refresh against a snapshot taken before the edit: Rows are exactly the
+// live rows whose propagation vectors differ (or are new), Words exactly
+// the pattern words on which some W row differs, and Prev the pre-edit W
+// and WrongAny. A full rebuild reports no changes to carry.
+func TestEngineChangesAreExact(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		n, err := bench.ByName("cmp8")
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden := n.Clone()
+		pool := par.NewPool(workers)
+		patterns := sim.RandomPatterns(n.NumInputs(), 1000, 9)
+		goldenOut := sim.OutputMatrix(golden, sim.SimulateParallel(golden, patterns, pool))
+		eng := NewEngine(n, goldenOut, patterns, pool)
+		eng.CPM()
+		if _, ok := eng.Changes(); ok {
+			t.Fatal("first (full) build reports changes to carry")
+		}
+		carried, partial, fewer := 0, 0, 0
+		for edit := 0; edit < 4; edit++ {
+			tt, ss, ok := pickCloseSubstitution(n, eng.Vals)
+			if !ok {
+				break
+			}
+			oldRows := map[circuit.NodeID][]*bitvec.Vec{}
+			for _, id := range n.LiveNodes() {
+				for o := 0; o < eng.CPM().NumOutputs(); o++ {
+					oldRows[id] = append(oldRows[id], eng.CPM().Prop(id, o).Clone())
+				}
+			}
+			oldW := eng.St.W.Clone()
+			oldWA := eng.St.WrongAny.Clone()
+
+			var ed Edit
+			repl := ss
+			if edit%2 == 1 {
+				repl = n.AddGate(circuit.KindNot, ss)
+				ed.Added = []circuit.NodeID{repl}
+			}
+			ed.Repl = repl
+			ed.Rewired = append([]circuit.NodeID(nil), n.Fanouts(tt)...)
+			n.ReplaceNode(tt, repl)
+			ed.Removed, ed.Boundary = n.SweepFromCollect(tt)
+			eng.Apply(ed)
+			cpm := eng.CPM()
+			ch, ok := eng.Changes()
+			if !ok {
+				t.Fatalf("w=%d edit %d: refresh reports nothing to carry", workers, edit)
+			}
+
+			wantRows := map[circuit.NodeID]bool{}
+			for _, id := range n.LiveNodes() {
+				old, had := oldRows[id]
+				for o := 0; o < cpm.NumOutputs(); o++ {
+					if !had || !cpm.Prop(id, o).Equal(old[o]) {
+						wantRows[id] = true
+					}
+				}
+			}
+			gotRows := map[circuit.NodeID]bool{}
+			for _, id := range ch.Rows {
+				gotRows[id] = true
+			}
+			if !reflect.DeepEqual(gotRows, wantRows) {
+				t.Fatalf("w=%d edit %d: changed rows %v, want %v", workers, edit, ch.Rows, wantRows)
+			}
+			if stats, _ := eng.LastRefresh(); len(ch.Rows) < stats.DirtyRows {
+				fewer++
+			}
+
+			var wantWords []int
+			for w := 0; w < bitvec.Words(patterns.NumPatterns()); w++ {
+				for o := 0; o < oldW.Rows(); o++ {
+					if oldW.Row(o).WordsSlice()[w] != eng.St.W.Row(o).WordsSlice()[w] {
+						wantWords = append(wantWords, w)
+						break
+					}
+				}
+			}
+			if !reflect.DeepEqual(append([]int{}, ch.Words...), append([]int{}, wantWords...)) {
+				t.Fatalf("w=%d edit %d: changed words %v, want %v", workers, edit, ch.Words, wantWords)
+			}
+			for o := 0; o < oldW.Rows(); o++ {
+				if !ch.Prev.W.Row(o).Equal(oldW.Row(o)) {
+					t.Fatalf("w=%d edit %d: Prev.W row %d is not the pre-edit state", workers, edit, o)
+				}
+			}
+			if !ch.Prev.WrongAny.Equal(oldWA) {
+				t.Fatalf("w=%d edit %d: Prev.WrongAny is not the pre-edit state", workers, edit)
+			}
+			if len(ch.Words) > 0 && len(ch.Words) < bitvec.Words(patterns.NumPatterns()) {
+				partial++
+			}
+			carried++
+		}
+		if carried == 0 || partial == 0 || fewer == 0 {
+			t.Fatalf("w=%d: %d edits checked, %d changed the state on only some words, %d changed fewer rows than were dirty",
+				workers, carried, partial, fewer)
+		}
+		pool.Close()
+	}
+}
+
+// pickCloseSubstitution returns the admissible substitution (a live gate
+// target and a live gate or input outside its transitive fanout cone)
+// whose substitute differs from the target on the fewest patterns, but on
+// some.
+func pickCloseSubstitution(n *circuit.Network, vals *sim.Values) (t, s circuit.NodeID, ok bool) {
+	best := -1
+	d := bitvec.New(vals.M)
+	for _, tt := range n.LiveNodes() {
+		if !n.Kind(tt).IsGate() {
+			continue
+		}
+		tfo := n.TransitiveFanoutCone(tt)
+		for _, ss := range n.LiveNodes() {
+			if k := n.Kind(ss); ss == tt || tfo[ss] || (!k.IsGate() && k != circuit.KindInput) {
+				continue
+			}
+			d.Xor(vals.Node(tt), vals.Node(ss))
+			if c := d.Count(); c > 0 && (best < 0 || c < best) {
+				t, s, ok, best = tt, ss, true, c
+			}
+		}
+	}
+	return t, s, ok
 }

@@ -16,11 +16,6 @@ type Candidate struct {
 	Const    bool           // constant substitution; ConstVal gives the value
 	ConstVal bool
 
-	DiffProb float64 // local difference probability on the pattern set
-	AreaGain float64 // area reclaimed by the substitution (may include inverter cost)
-	Delta    float64 // estimated increased error (filled by the flow)
-	Score    float64 // AreaGain / max(Delta, floor) ranking value
-
 	// Exact reports whether Delta carries a structural exactness
 	// certificate: for the batch estimator, the target's output cone is
 	// reconvergence-free, so Delta equals the exact resimulated value on
@@ -30,6 +25,17 @@ type Candidate struct {
 	// metrics registry's drift split, a KeepTrace record, EstimateAll's
 	// result — so an unobserved flow never builds the certificate.
 	Exact bool
+
+	// er carries the batch estimator's exact ΔER counts from the
+	// iteration that last scored this candidate (see carry). Declared
+	// beside the flags, it fills their padding: the gather cache holds
+	// every candidate twice, so the struct's size is memory.
+	er erCounts
+
+	DiffProb float64 // local difference probability on the pattern set
+	AreaGain float64 // area reclaimed by the substitution (may include inverter cost)
+	Delta    float64 // estimated increased error (filled by the flow)
+	Score    float64 // AreaGain / max(Delta, floor) ranking value
 }
 
 // substituteValue returns the value vector the target would take, reusing

@@ -84,7 +84,10 @@ type estimator interface {
 	exactFor(target circuit.NodeID) bool
 }
 
-type batchEstimator struct{ ctx *iterContext }
+type batchEstimator struct {
+	ctx     *iterContext
+	scratch scoreScratch
+}
 
 func (e *batchEstimator) prepare(ctx *iterContext) {
 	if ctx.engine != nil {

@@ -3,6 +3,7 @@ package sasimi
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"time"
@@ -61,10 +62,10 @@ type Config struct {
 
 	// Estimator chooses the per-candidate error estimation method.
 	Estimator EstimatorKind
-	// Workers sets the size of the pattern-sharded worker pool that runs
-	// simulation, CPM construction, candidate gathering and batch scoring
-	// concurrently. 0 (the default) selects runtime.NumCPU(); 1 forces the
-	// legacy sequential path. Results are bit-identical at any worker
+	// Workers sets the size of the worker pool that runs simulation, CPM
+	// construction, candidate gathering and batch scoring concurrently.
+	// 0 (the default) selects runtime.NumCPU(); 1 runs everything on the
+	// calling goroutine. Results are bit-identical at any worker
 	// count — see DESIGN.md §10 for the determinism argument — so Workers
 	// is purely a throughput knob.
 	Workers int
@@ -117,8 +118,10 @@ type Config struct {
 	// verifyIncremental cross-checks the incremental engine against the
 	// full-rebuild computation every iteration: the incremental candidate
 	// list and (for the batch estimator) the refreshed CPM are compared
-	// against freshly rebuilt ones, and any divergence aborts the run with
-	// an error. Test-only paranoia hook — quadratically expensive.
+	// against freshly rebuilt ones, and every batch score — carried or
+	// not — against a from-scratch rescore, and any divergence aborts the
+	// run with an error. Test-only paranoia hook — quadratically
+	// expensive.
 	verifyIncremental bool
 }
 
@@ -429,7 +432,7 @@ func Run(golden *circuit.Network, cfg Config) (*Result, error) {
 }
 
 // RunContext is Run with cooperative cancellation: ctx is checked at every
-// iteration boundary and inside the pattern-sharded scoring dispatch. On
+// iteration boundary and inside the gather and scoring dispatches. On
 // cancellation the flow returns the partial Result accumulated so far —
 // every accepted substitution up to the abort is intact and measured —
 // together with ctx.Err().
@@ -507,9 +510,11 @@ func RunContext(goCtx context.Context, golden *circuit.Network, cfg Config) (*Re
 	var (
 		eng            *core.Engine
 		cache          gatherCache
+		carrier        carry
 		pendingEdit    *core.Edit
 		pendingChanged []circuit.NodeID
 		runErr         error
+		prevScored     []Candidate // verifyIncremental: last iteration's scored list
 	)
 
 loop:
@@ -552,8 +557,12 @@ loop:
 		env := newGatherEnv(approx, vals, &cfg)
 		var cands []Candidate
 		var err error
+		var cr *carry
 		if incremental && pendingEdit != nil {
 			cands, err = cache.update(goCtx, env, pendingEdit, pendingChanged, pool)
+			if ictx.cpm != nil && cfg.Metric == core.MetricER {
+				cr = carrier.next(eng, pendingChanged, approx.NumSlots())
+			}
 		} else {
 			cands, err = cache.full(goCtx, env, pool)
 		}
@@ -581,12 +590,18 @@ loop:
 
 		// Estimate the increased error of every candidate (the batch step)
 		// and pick the best feasible one by ΔArea/ΔError score.
-		best, feasible := scoreCandidatesMaybeSharded(ictx, est, cands, curErr, cfg.Threshold,
+		best, feasible := scoreIteration(ictx, est, cands, cr, curErr, cfg.Threshold,
 			scratch, change, pool, o, iter)
 		prof.End(sp)
 		if err := goCtx.Err(); err != nil {
 			runErr = err
 			break loop
+		}
+		if cfg.verifyIncremental && incremental && ictx.cpm != nil {
+			if err := crossCheckScores(ictx, est, cands, prevScored, cr, pool); err != nil {
+				return nil, err
+			}
+			prevScored = append(prevScored[:0], cands...)
 		}
 
 		sp = prof.Begin(obs.PhaseVerifyApply)
@@ -742,6 +757,43 @@ func crossCheckIncremental(env *gatherEnv, pool *par.Pool, cands []Candidate, cp
 	return nil
 }
 
+// crossCheckScores is the verifyIncremental check of the batch scores:
+// every candidate's Delta and Score must equal, bit for bit, a from-scratch
+// rescore by the sequential scoreCandidates. It also stresses the carry
+// rules beyond what the gather cache lets through: the previous
+// iteration's whole scored list, counts included, minus the candidates
+// whose nodes died, is scored again under this iteration's carry —
+// including entries the cache would have re-evaluated because their
+// target's row or value, or their substitute's value, changed — and
+// checked the same way.
+func crossCheckScores(ctx *iterContext, est estimator, cands, prev []Candidate, cr *carry, pool *par.Pool) error {
+	m := ctx.vals.M
+	check := func(what string, got []Candidate) error {
+		want := append([]Candidate(nil), got...)
+		scoreCandidates(est, want, ctx.vals, 0, 0, bitvec.New(m), bitvec.New(m), nil, 0)
+		for i := range got {
+			a, b := &got[i], &want[i]
+			if math.Float64bits(a.Delta) != math.Float64bits(b.Delta) || math.Float64bits(a.Score) != math.Float64bits(b.Score) {
+				return fmt.Errorf("sasimi: %s score diverged at candidate %d (%+v): Delta %v vs full rescore %v",
+					what, i, *a, a.Delta, b.Delta)
+			}
+		}
+		return nil
+	}
+	if err := check("batch", cands); err != nil {
+		return err
+	}
+	net := ctx.net
+	var stress []Candidate
+	for _, c := range prev {
+		if net.IsLive(c.Target) && net.Kind(c.Target).IsGate() && (c.Const || net.IsLive(c.Sub)) {
+			stress = append(stress, c)
+		}
+	}
+	(&batchEstimator{}).score(ctx, stress, cr, 0, 0, pool, nil, 0)
+	return check("carried", stress)
+}
+
 // checkAcyclic closes the documented ReplaceFanin gap: circuit editing
 // does not itself forbid a substitution that closes a combinational loop
 // (the gather screens for it, but the screen and the surgery are
@@ -872,7 +924,7 @@ func EstimateAll(golden, approx *circuit.Network, cfg Config) ([]Candidate, erro
 	scratch := bitvec.New(patterns.NumPatterns())
 	change := bitvec.New(patterns.NumPatterns())
 	o := newRunObs(&cfg, approx, est)
-	scoreCandidatesMaybeSharded(ctx, est, cands, 0, cfg.Threshold, scratch, change, pool, o, 1)
+	scoreIteration(ctx, est, cands, nil, 0, cfg.Threshold, scratch, change, pool, o, 1)
 	for i := range cands {
 		cands[i].Exact = est.exactFor(cands[i].Target)
 	}

@@ -19,6 +19,7 @@ type gatherEnv struct {
 	vals     *sim.Values
 	cfg      *Config
 	arrival  []float64
+	level    []int32 // unit-delay level per node slot, for the cycle probe
 	invDelay float64
 	invArea  float64
 	subs     []circuit.NodeID // admissible substitutes, ascending id
@@ -46,11 +47,18 @@ func newGatherEnv(net *circuit.Network, vals *sim.Values, cfg *Config) *gatherEn
 	if prefixBits > m {
 		prefixBits = m
 	}
+	// Levels are read by the gather workers; Network.Level may rebuild the
+	// topological order lazily, so they are resolved here, once.
+	level := make([]int32, net.NumSlots())
+	for _, id := range net.TopoOrder() {
+		level[id] = int32(net.Level(id))
+	}
 	return &gatherEnv{
 		net:         net,
 		vals:        vals,
 		cfg:         cfg,
 		arrival:     cfg.Library.NodeArrival(net),
+		level:       level,
 		invDelay:    cfg.Library.GateDelay(circuit.KindNot),
 		invArea:     cfg.Library.GateArea(circuit.KindNot, 1),
 		subs:        subs,
@@ -90,9 +98,9 @@ type targetData struct {
 //   - and look almost-identical on the pattern set: difference probability
 //     at most cfg.SimilarityCap.
 //
-// diff is an M-bit scratch vector owned by the caller. The dependency set
-// is recorded for the incremental cache.
-func (env *gatherEnv) computeTarget(t circuit.NodeID, diff *bitvec.Vec) targetData {
+// ws is the calling worker's scratch. The dependency set is recorded for
+// the incremental cache.
+func (env *gatherEnv) computeTarget(t circuit.NodeID, ws *gatherScratch) targetData {
 	td := targetData{live: true}
 	td.mffc = env.net.MFFC(t)
 	for _, id := range td.mffc {
@@ -118,7 +126,6 @@ func (env *gatherEnv) computeTarget(t circuit.NodeID, diff *bitvec.Vec) targetDa
 	}
 
 	tv := env.vals.Node(t)
-	tfo := env.net.TransitiveFanoutCone(t)
 	tArr := env.arrival[t]
 
 	// Constant substitutions: always delay-safe and cycle-safe.
@@ -134,18 +141,23 @@ func (env *gatherEnv) computeTarget(t circuit.NodeID, diff *bitvec.Vec) targetDa
 	}
 
 	for _, s := range env.subs {
-		if s == t || tfo[s] {
-			continue
+		if s != t {
+			td.bucket = env.evalPair(td.bucket, &td, t, s, tv, tArr, ws)
 		}
-		td.bucket = env.evalPair(td.bucket, &td, t, s, tv, tArr, diff)
 	}
 	return td
 }
 
 // evalPair appends the admissible plain and inverted candidates of the
-// pair (t, s) — the body of the enumeration's inner loop. The caller has
-// already screened s == t and the cycle check (s in t's fanout cone).
-func (env *gatherEnv) evalPair(out []Candidate, td *targetData, t, s circuit.NodeID, tv *bitvec.Vec, tArr float64, diff *bitvec.Vec) []Candidate {
+// pair (t, s) — the body of the enumeration's inner loop; the caller has
+// screened s == t. The screens run cheapest first: the delay bound of the
+// faster polarity, the similarity prefix, the full popcount, the delay
+// and similarity bounds per polarity, and last the cycle check (s in t's
+// transitive fanout cone), which only the few surviving pairs reach.
+func (env *gatherEnv) evalPair(out []Candidate, td *targetData, t, s circuit.NodeID, tv *bitvec.Vec, tArr float64, ws *gatherScratch) []Candidate {
+	if env.arrival[s]+min(0, env.invDelay) > tArr {
+		return out
+	}
 	sv := env.vals.Node(s)
 	// A cheap prefix check on the first few simulation words rejects
 	// grossly dissimilar pairs before the full popcount. When the prefix
@@ -162,22 +174,78 @@ func (env *gatherEnv) evalPair(out []Candidate, td *targetData, t, s circuit.Nod
 		}
 	}
 	if env.prefixBits < env.m {
-		diff.Xor(tv, sv)
-		d = diff.Count()
+		ws.diff.Xor(tv, sv)
+		d = ws.diff.Count()
 	}
 	dp := float64(d) / float64(env.m)
 
-	if dp <= env.cfg.SimilarityCap && env.arrival[s] <= tArr {
+	idp := 1 - dp
+	plain := dp <= env.cfg.SimilarityCap && env.arrival[s] <= tArr
+	inverted := idp <= env.cfg.SimilarityCap && env.arrival[s]+env.invDelay <= tArr
+	if !plain && !inverted || env.reaches(ws, t, s) {
+		return out
+	}
+	if plain {
 		if g := env.pairGain(td, t, s); g > 0 {
 			out = append(out, Candidate{Target: t, Sub: s, DiffProb: dp, AreaGain: g})
 		}
 	}
-	if idp := 1 - dp; idp <= env.cfg.SimilarityCap && env.arrival[s]+env.invDelay <= tArr {
+	if inverted {
 		if g := env.pairGain(td, t, s) - env.invArea; g > 0 {
 			out = append(out, Candidate{Target: t, Sub: s, Inverted: true, DiffProb: idp, AreaGain: g})
 		}
 	}
 	return out
+}
+
+// gatherScratch is one pool worker's reusable gather state: an M-bit
+// Xor scratch vector, and the cycle probe's generation-stamped visited
+// marks and DFS stack.
+type gatherScratch struct {
+	diff  *bitvec.Vec
+	seen  []uint32
+	gen   uint32
+	stack []circuit.NodeID
+}
+
+// reaches reports whether s lies in t's transitive fanout cone, where
+// substituting s for t would close a cycle. Every fanout of a node has a
+// higher level, so nothing at or below t's level is in the cone, and a
+// path from t to s passes only through nodes below s's level: the DFS
+// from t descends into those alone.
+func (env *gatherEnv) reaches(ws *gatherScratch, t, s circuit.NodeID) bool {
+	ls := env.level[s]
+	if ls <= env.level[t] {
+		return false
+	}
+	if len(ws.seen) < len(env.level) {
+		ws.seen = make([]uint32, len(env.level))
+		ws.gen = 0
+	}
+	ws.gen++
+	if ws.gen == 0 { // wrapped: old stamps could alias the new generation
+		clear(ws.seen)
+		ws.gen = 1
+	}
+	stack := append(ws.stack[:0], t)
+	ws.seen[t] = ws.gen
+	found := false
+	for len(stack) > 0 && !found {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, fo := range env.net.Fanouts(x) {
+			if fo == s {
+				found = true
+				break
+			}
+			if env.level[fo] < ls && ws.seen[fo] != ws.gen {
+				ws.seen[fo] = ws.gen
+				stack = append(stack, fo)
+			}
+		}
+	}
+	ws.stack = stack
+	return found
 }
 
 // pairGain returns the exact area reclaimed when t is replaced by s: the

@@ -33,7 +33,11 @@ import (
 //     region, and changed values lie in the seeds' fanout cones;
 //   - dirty targets recompute in full, clean targets drop the candidates
 //     whose substitute is dirty or removed and merge in freshly evaluated
-//     pairs for the dirty substitutes, preserving canonical bucket order.
+//     pairs for the dirty substitutes, preserving canonical bucket order;
+//   - every bucket entry carries the exact ΔER counts of its last batch
+//     score (Candidate.er, see carry): keepScores copies them back from
+//     the scored list, and a re-evaluated entry inherits the counts of
+//     the old entry for the same substitution.
 //
 // The candidate list handed to the flow is the concatenation of the live
 // targets' buckets in ascending target order, copied into one slice the
@@ -47,26 +51,25 @@ import (
 type gatherCache struct {
 	data        []targetData // indexed by node slot
 	prevArrival []float64
-	list        []Candidate // the concatenated buckets handed to the flow
+	list        []Candidate      // the concatenated buckets handed to the flow
+	targets     []circuit.NodeID // the targets list was collected from
 
 	// Dispatch scratch: the LPT bin-packer and its inputs (work items as
 	// target indices plus their estimated resim costs), and one reusable
-	// Xor-scratch vector per pool worker — computeTarget and evalPair use
-	// diff purely as scratch, so a worker-owned vector replaces the
-	// per-target bitvec.New of the unplanned fan-out.
+	// gatherScratch per pool worker.
 	planner par.Planner
 	items   []int
 	costs   []float64
-	diffs   []*bitvec.Vec
+	scratch []*gatherScratch
 }
 
-// workerDiffs returns one m-bit scratch vector per pool worker, growing
-// the pool-owned set on first use (m is fixed for the life of a flow).
-func (gc *gatherCache) workerDiffs(workers, m int) []*bitvec.Vec {
-	for len(gc.diffs) < workers {
-		gc.diffs = append(gc.diffs, bitvec.New(m))
+// workerScratch returns one gather scratch per pool worker, growing the
+// set on first use (m is fixed for the life of a flow).
+func (gc *gatherCache) workerScratch(workers, m int) []*gatherScratch {
+	for len(gc.scratch) < workers {
+		gc.scratch = append(gc.scratch, &gatherScratch{diff: bitvec.New(m)})
 	}
-	return gc.diffs
+	return gc.scratch
 }
 
 // full performs a complete gather, populating every target's cached bucket
@@ -86,13 +89,12 @@ func (gc *gatherCache) full(goCtx context.Context, env *gatherEnv, pool *par.Poo
 		gc.costs = append(gc.costs, 1)
 	}
 	bins := gc.planner.Plan(gc.costs, par.PlanBins(len(targets), pool.Workers()))
-	diffs := gc.workerDiffs(pool.Workers(), env.m)
+	scratch := gc.workerScratch(pool.Workers(), env.m)
 	pool.Label("sasimi.gather", obs.PhaseEstimate)
 	if err := pool.DoCtx(goCtx, len(bins), func(w, bi int) {
-		diff := diffs[w]
 		for _, ti := range bins[bi] {
 			t := targets[ti]
-			gc.data[t] = env.computeTarget(t, diff)
+			gc.data[t] = env.computeTarget(t, scratch[w])
 		}
 	}); err != nil {
 		return nil, err
@@ -107,6 +109,7 @@ func (gc *gatherCache) full(goCtx context.Context, env *gatherEnv, pool *par.Poo
 // context aborts the fan-out and returns the context's error; the cache is
 // then partially updated and must be discarded.
 func (gc *gatherCache) update(goCtx context.Context, env *gatherEnv, ed *core.Edit, changed []circuit.NodeID, pool *par.Pool) ([]Candidate, error) {
+	gc.keepScores()
 	n := env.net
 	slots := n.NumSlots()
 	for len(gc.data) < slots {
@@ -189,9 +192,7 @@ func (gc *gatherCache) update(goCtx context.Context, env *gatherEnv, ed *core.Ed
 		drop[id] = true
 	}
 
-	// The dirty substitutes that are admissible, ascending, with one
-	// transitive fanin cone each: t ∈ tfi(s) ⟺ s ∈ TFO(t), which is the
-	// enumeration's cycle screen evaluated from the substitute's side.
+	// The dirty substitutes that are admissible, ascending.
 	var dirtySubs []circuit.NodeID
 	for _, id := range n.LiveNodes() {
 		if subDirty[id] {
@@ -199,10 +200,6 @@ func (gc *gatherCache) update(goCtx context.Context, env *gatherEnv, ed *core.Ed
 				dirtySubs = append(dirtySubs, id)
 			}
 		}
-	}
-	tfis := make([][]bool, len(dirtySubs))
-	for i, s := range dirtySubs {
-		tfis[i] = n.TransitiveFaninCone(s)
 	}
 
 	// Classify targets driver-side so the bin-packer can see each one's
@@ -235,27 +232,29 @@ func (gc *gatherCache) update(goCtx context.Context, env *gatherEnv, ed *core.Ed
 		// Clean targets without a bucket: no work, provably unchanged.
 	}
 	bins := gc.planner.Plan(gc.costs, par.PlanBins(len(gc.items), pool.Workers()))
-	diffs := gc.workerDiffs(pool.Workers(), env.m)
+	scratch := gc.workerScratch(pool.Workers(), env.m)
 	pool.Label("sasimi.gather_inc", obs.PhaseEstimate)
 	err := pool.DoCtx(goCtx, len(bins), func(w, bi int) {
-		diff := diffs[w]
+		ws := scratch[w]
 		for _, ii := range bins[bi] {
 			ti := gc.items[ii]
 			t := targets[ti]
 			if dirtyT[t] {
-				gc.data[t] = env.computeTarget(t, diff)
+				old := gc.data[t].bucket
+				gc.data[t] = env.computeTarget(t, ws)
+				inheritScores(old, gc.data[t].bucket)
 				continue
 			}
 			td := &gc.data[t]
 			tv := env.vals.Node(t)
 			tArr := env.arrival[t]
 			var fresh []Candidate
-			for i, s := range dirtySubs {
-				if s == t || tfis[i][t] {
-					continue
+			for _, s := range dirtySubs {
+				if s != t {
+					fresh = env.evalPair(fresh, td, t, s, tv, tArr, ws)
 				}
-				fresh = env.evalPair(fresh, td, t, s, tv, tArr, diff)
 			}
+			inheritScores(td.bucket, fresh)
 			td.bucket = mergeBucket(td.bucket, fresh, drop)
 		}
 	})
@@ -274,7 +273,23 @@ func (gc *gatherCache) collect(targets []circuit.NodeID) []Candidate {
 	for _, t := range targets {
 		gc.list = append(gc.list, gc.data[t].bucket...)
 	}
+	gc.targets = targets
 	return gc.list
+}
+
+// keepScores copies the exact ΔER counts that scoring wrote into the
+// previous list back into the buckets it was collected from, so that the
+// entries a clean bucket keeps carry them into the next list. Entries
+// evaluated afresh start unscored.
+func (gc *gatherCache) keepScores() {
+	k := 0
+	for _, t := range gc.targets {
+		b := gc.data[t].bucket
+		for j := range b {
+			b[j].er = gc.list[k].er
+			k++
+		}
+	}
 }
 
 func depsTouched(deps []circuit.NodeID, probe []bool) bool {
@@ -284,6 +299,37 @@ func depsTouched(deps []circuit.NodeID, probe []bool) bool {
 		}
 	}
 	return false
+}
+
+// inheritScores gives each freshly evaluated entry the carried ΔER counts
+// of the old entry for the same substitution, if there is one; both lists
+// are in canonical bucket order. The counts depend only on the target's
+// CPM row, the change mask and the error state, not on why the gather
+// re-evaluated the pair, and the scorer checks all three itself (see
+// carry.stale), so a re-evaluated pair keeps them.
+func inheritScores(old, fresh []Candidate) {
+	i := 0
+	for j := range fresh {
+		f := &fresh[j]
+		for i < len(old) && bucketBefore(&old[i], f) {
+			i++
+		}
+		if i < len(old) && !bucketBefore(f, &old[i]) {
+			f.er = old[i].er
+		}
+	}
+}
+
+// bucketBefore is the canonical bucket order of one target's candidates:
+// constants first (1 before 0), then pairs in pairBefore order.
+func bucketBefore(a, b *Candidate) bool {
+	if a.Const != b.Const {
+		return a.Const
+	}
+	if a.Const {
+		return a.ConstVal && !b.ConstVal
+	}
+	return pairBefore(a, b)
 }
 
 // mergeBucket rebuilds a clean target's bucket: retained constants first

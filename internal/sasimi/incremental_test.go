@@ -9,6 +9,7 @@ import (
 	"batchals/internal/bench"
 	"batchals/internal/core"
 	"batchals/internal/flow"
+	"batchals/internal/obs"
 )
 
 // differentialCase is one cell of the incremental-vs-full grid.
@@ -195,5 +196,68 @@ func TestRunContextCancelled(t *testing.T) {
 	}
 	if res.NumIterations != 0 {
 		t.Fatalf("pre-cancelled run accepted %d iterations", res.NumIterations)
+	}
+}
+
+// TestCarriedScoresMatchFullRescore pins the carried batch scores: with
+// the verifyIncremental hook on, every iteration compares every
+// candidate's Delta and Score — carried from the previous iteration or
+// recounted — bit for bit with a from-scratch scoreCandidates, for ER and
+// AEM at one and four workers. The hook also rescores the previous
+// iteration's whole list under the carry, including the entries whose
+// target row or values changed, so each staleness rule is exercised even
+// where the gather cache would re-evaluate the pair anyway. The carried
+// path must actually run on the cmp8 and c880 ER cells.
+func TestCarriedScoresMatchFullRescore(t *testing.T) {
+	cells := []struct {
+		bench   string
+		er, aem float64
+		// carries: the ER run must carry some scores. On rca8 every
+		// accept changes the error state on at least half the words, so
+		// each iteration rescores in full.
+		carries bool
+	}{
+		{"rca8", 0.2, 4.0, false},
+		{"cmp8", 0.04, 0.3, true},
+		{"c880", 0.03, 16, true},
+	}
+	carried := obs.Default().Counter("sasimi_score_carried_total")
+	for _, cell := range cells {
+		golden, err := bench.ByName(cell.bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, metric := range []core.Metric{core.MetricER, core.MetricAEM} {
+			threshold := cell.er
+			if metric == core.MetricAEM {
+				threshold = cell.aem
+			}
+			for _, w := range []int{1, 4} {
+				before := carried.Value()
+				res, err := Run(golden, Config{
+					Budget: flow.Budget{
+						Metric:        metric,
+						Threshold:     threshold,
+						NumPatterns:   1000,
+						Seed:          7,
+						MaxIterations: 15,
+					},
+					Estimator:         EstimatorBatch,
+					Workers:           w,
+					Incremental:       IncrementalOn,
+					verifyIncremental: true,
+				})
+				label := cell.bench + "/" + metric.String() + "/w" + itoa(w)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if res.NumIterations < 2 {
+					t.Fatalf("%s: %d accepts; nothing to carry across", label, res.NumIterations)
+				}
+				if n := carried.Value() - before; metric == core.MetricER && cell.carries && n == 0 {
+					t.Errorf("%s: no score was carried", label)
+				}
+			}
+		}
 	}
 }

@@ -149,9 +149,11 @@ func TestParallelEstimateAllBitIdentical(t *testing.T) {
 	}
 }
 
-// TestParallelScoringMatchesSequential drives the sharded scoring path
-// directly against scoreCandidates on the same candidate list, for both
-// metrics, asserting Delta/Score/selection equality field by field.
+// TestParallelScoringMatchesSequential drives the candidate-sharded batch
+// scorer directly against scoreCandidates on the same candidate list, for
+// both metrics and several worker counts, asserting Delta/Score/selection
+// equality field by field. (The carried ER counts the batch scorer also
+// stores are checked by TestCarriedScoresMatchFullRescore.)
 func TestParallelScoringMatchesSequential(t *testing.T) {
 	for _, metric := range []core.Metric{core.MetricER, core.MetricAEM} {
 		net := bench.RCA(8)
@@ -178,7 +180,7 @@ func TestParallelScoringMatchesSequential(t *testing.T) {
 		wantBest, wantFeasible := scoreCandidates(est, wantCands, vals, 0, cfg.Threshold,
 			scratch, change, nil, 1)
 
-		for _, workers := range []int{2, 4, 7} {
+		for _, workers := range []int{1, 2, 4, 7} {
 			pool := par.NewPool(workers)
 			gotCands := gatherAll(t, approx, vals, &cfg, pool)
 			if !reflect.DeepEqual(gotCands, seqCands) {
@@ -186,8 +188,12 @@ func TestParallelScoringMatchesSequential(t *testing.T) {
 				t.Fatalf("metric=%v workers=%d: gathered candidates diverge", metric, workers)
 			}
 			pctx := &iterContext{net: approx, vals: vals, st: st, metric: metric, cpm: ctx.cpm, pool: pool}
-			gotBest, gotFeasible := scoreCandidatesSharded(pctx, gotCands, 0, cfg.Threshold, pool, nil, 1)
+			gotBest, gotFeasible := scoreIteration(pctx, est, gotCands, nil, 0, cfg.Threshold,
+				scratch, change, pool, nil, 1)
 			pool.Close()
+			for i := range gotCands {
+				gotCands[i].er = erCounts{}
+			}
 			if gotBest != wantBest || !reflect.DeepEqual(gotFeasible, wantFeasible) {
 				t.Fatalf("metric=%v workers=%d: selection diverges (best %d vs %d)",
 					metric, workers, gotBest, wantBest)
@@ -204,10 +210,10 @@ func TestParallelScoringMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestNilTracerShardedScoringAllocs pins that the Workers=1 flow path
-// still takes the legacy scoring loop whose allocation profile
-// TestNilTracerScoringAllocs baselines: the dispatch wrapper itself must
-// add nothing on top.
+// TestNilTracerShardedScoringAllocs pins that the Workers=1 flow path —
+// the candidate-sharded batch scorer run as a single shard — allocates no
+// more per iteration than the sequential loop whose allocation profile
+// TestNilTracerScoringAllocs baselines.
 func TestNilTracerShardedScoringAllocs(t *testing.T) {
 	net := bench.RCA(8)
 	patterns := sim.RandomPatterns(net.NumInputs(), 1024, 3)
@@ -231,7 +237,7 @@ func TestNilTracerShardedScoringAllocs(t *testing.T) {
 		scoreCandidates(est, cands, vals, 0, cfg.Threshold, scratch, change, nil, 1)
 	})
 	dispatched := testing.AllocsPerRun(20, func() {
-		scoreCandidatesMaybeSharded(ctx, est, cands, 0, cfg.Threshold, scratch, change, nil, nil, 1)
+		scoreIteration(ctx, est, cands, nil, 0, cfg.Threshold, scratch, change, nil, nil, 1)
 	})
 	if dispatched > direct {
 		t.Fatalf("Workers=1 dispatch allocates %v/run, direct loop %v/run", dispatched, direct)

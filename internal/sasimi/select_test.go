@@ -132,7 +132,7 @@ func TestArgmaxMatchesSortedFirstMax(t *testing.T) {
 		for trial := 0; trial < 20; trial++ {
 			cands := append([]Candidate(nil), base...)
 			rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-			best, _ := scoreCandidatesSharded(pctx, cands, 0, cfg.Threshold, pool, nil, 1)
+			best, _ := scoreIteration(pctx, est, cands, nil, 0, cfg.Threshold, scratch, change, pool, nil, 1)
 			want, ok := refBest(cands, 0, cfg.Threshold)
 			if !ok {
 				if best != -1 {

@@ -28,9 +28,9 @@ import (
 // range [W0,W1) never races another shard of the same candidate, and
 // candidates never share overlay rows at all.
 //
-// Bit-identity with the serial path follows the same argument as the
-// sharded batch scorer (scoreCandidatesSharded): ER partials are exact
-// integer pattern counts, AEM per-pattern contributions are integer-valued
+// Bit-identity with the serial path follows the word-locality argument
+// of the core.*Partial kernels: ER partials are exact integer pattern
+// counts, AEM per-pattern contributions are integer-valued
 // magnitudes whose float sums are exact below 2^53 (the convention
 // documented on core.DeltaAEMPartial, covering all bundled benchmarks),
 // and the final "after" value is produced by the same single division the

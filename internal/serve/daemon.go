@@ -21,7 +21,7 @@ import (
 // JobSpec is the wire format of one queued synthesis job (POST /jobs).
 type JobSpec struct {
 	Name          string  `json:"name,omitempty"` // run name (default job-N)
-	Circuit       string  `json:"circuit"`        // benchmark name or file path
+	Circuit       string  `json:"circuit"`        // registered benchmark name
 	Metric        string  `json:"metric,omitempty"`
 	Threshold     float64 `json:"threshold"`
 	Estimator     string  `json:"estimator,omitempty"`
@@ -84,15 +84,11 @@ var (
 	knownPartitionPolicies = map[string]bool{"": true, "observability": true, "uniform": true}
 )
 
-// CheckCircuitExists is the default circuit validator: benchmark names
-// must be registered, file paths (anything with a '/' or '.') must exist.
+// CheckCircuitExists is the default circuit validator: the circuit must
+// be a registered benchmark name. The daemon serves named benchmarks
+// only, so a network client can neither make the server read a file nor
+// learn from the error whether one exists.
 func CheckCircuitExists(circuit string) error {
-	if strings.ContainsAny(circuit, "/.") {
-		if _, err := os.Stat(circuit); err != nil {
-			return err
-		}
-		return nil
-	}
 	_, err := bench.ByName(circuit)
 	return err
 }

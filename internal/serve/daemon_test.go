@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"batchals/internal/bench"
 	"batchals/internal/obs"
 )
 
@@ -527,4 +528,63 @@ func TestDaemonTrimsTerminalRuns(t *testing.T) {
 	if _, ok := d.runs.Lookup("t-7"); !ok {
 		t.Fatalf("newest run was evicted")
 	}
+}
+
+// TestDaemonServesNamedBenchmarksOnly pins the default circuit check: a
+// job names a registered benchmark, never a file. A path — existing or
+// not, absolute or relative — gets the same typed 400 as an unknown name,
+// so the daemon neither reads the file nor reveals whether it exists.
+func TestDaemonServesNamedBenchmarksOnly(t *testing.T) {
+	d := testDaemon(t, func(context.Context, JobSpec, *Run) error { return nil },
+		func(cfg *DaemonConfig) { cfg.CheckCircuit = nil })
+	h := d.Handler()
+	for _, circuit := range []string{"/etc/passwd", "../x.blif", "c880.bench", "./rca8"} {
+		rw := postJob(t, h, map[string]any{"circuit": circuit, "threshold": 0.05})
+		if rw.Code != http.StatusBadRequest {
+			t.Errorf("circuit %q: status %d, want 400", circuit, rw.Code)
+			continue
+		}
+		var e SpecError
+		if err := json.Unmarshal(rw.Body.Bytes(), &e); err != nil || e.Field != "circuit" {
+			t.Errorf("circuit %q: body %s, want a SpecError on field circuit", circuit, rw.Body.String())
+		}
+	}
+	if err := d.ValidateSpec(JobSpec{Circuit: "rca8", Threshold: 0.05}); err != nil {
+		t.Fatalf("registered benchmark rejected: %v", err)
+	}
+}
+
+// FuzzJobSpec feeds arbitrary request bodies through the submit path's
+// decode and ValidateSpec: every body is either a decode error (the
+// handler's typed 400), a typed SpecError naming its field, or accepted —
+// and an accepted spec names a registered benchmark. Never a panic.
+func FuzzJobSpec(f *testing.F) {
+	for _, seed := range []string{
+		`{"circuit":"rca8","threshold":0.05}`,
+		`{"circuit":"/etc/passwd","threshold":0.05}`,
+		`{"circuit":"../x.blif","threshold":1e308,"m":-1}`,
+		`{"circuit":"c880","threshold":0.01,"metric":"aem","partition":{"cells":100}}`,
+		`{"circuit":"mul8","threshold":"NaN","workers":1e9}`,
+		`{"circuit":"cmp8","threshold":0.1,"partition":{"cells":5,"policy":"UNIFORM","rounds":-1}}`,
+		`[]`, `null`, `{`,
+	} {
+		f.Add([]byte(seed))
+	}
+	d := NewDaemon(DaemonConfig{Registry: obs.NewRegistry(),
+		Runner: func(context.Context, JobSpec, *Run) error { return nil }})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var spec JobSpec
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&spec); err != nil {
+			return
+		}
+		if se := d.ValidateSpec(spec); se != nil {
+			if se.Field == "" || se.Msg == "" {
+				t.Fatalf("untyped rejection %+v for %q", se, body)
+			}
+			return
+		}
+		if _, err := bench.ByName(spec.Circuit); err != nil {
+			t.Fatalf("accepted spec names no benchmark: %q", spec.Circuit)
+		}
+	})
 }

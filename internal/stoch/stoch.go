@@ -1,8 +1,10 @@
 // Package stoch implements a stochastic ALS flow in the spirit of Liu &
 // Zhang's statistically certified approach (ICCAD 2017), which the paper's
-// related-work section discusses: each move randomly proposes one
-// substitution and accepts it probabilistically under a cooling
-// temperature.
+// related-work section discusses: each move randomly proposes a
+// substitution and accepts it if its error fits the remaining budget. The
+// proposals only ever reclaim area, so there is nothing for an annealing
+// schedule to accept against the grain: the flow is a randomised greedy
+// walk, not simulated annealing.
 //
 // The paper observes that batch estimation cannot help such a flow early
 // on (there is only one candidate per move, so direct evaluation is
@@ -27,12 +29,9 @@ import (
 	"batchals/internal/sim"
 )
 
-// The annealing schedule and the batch-mode sample size.
-const (
-	temp0      = 4.0  // initial acceptance temperature, in area units
-	cooling    = 0.99 // temperature factor per move
-	batchWidth = 32   // random candidates ranked per batch-mode move
-)
+// batchWidth is the number of random candidates ranked per batch-mode
+// move.
+const batchWidth = 32
 
 // Config parameterises a stochastic flow run.
 type Config struct {
@@ -88,12 +87,10 @@ func Run(golden *circuit.Network, cfg Config) (*Result, error) {
 	lib := s.Library
 	r := rand.New(rand.NewSource(cfg.Seed + 7919))
 	res := &Result{SwitchedAtErr: math.NaN()}
-	temp := temp0
 	scratch := bitvec.New(s.Vals.M)
 	change := bitvec.New(s.Vals.M)
 
 	for move := 0; move < cfg.Moves; move++ {
-		temp *= cooling
 		res.Proposed++
 		approx, vals := s.Approx, s.Vals
 
@@ -136,10 +133,6 @@ func Run(golden *circuit.Network, cfg Config) (*Result, error) {
 			if !s.Feasible(p.delta) {
 				continue
 			}
-			// Metropolis acceptance on the area gain.
-			if p.gain < 0 && r.Float64() >= math.Exp(p.gain/math.Max(temp, 1e-6)) {
-				continue
-			}
 			best = p
 		}
 		if best != nil {
@@ -160,7 +153,7 @@ func Run(golden *circuit.Network, cfg Config) (*Result, error) {
 // (polarity chosen by whichever phase matches better). A blind uniform
 // pair would almost never be error-feasible; biasing by observed
 // similarity mirrors the almost-identical-signal ATs the certified flow
-// mutates over.
+// mutates over. Every proposal returned has a positive area gain.
 func draw(net *circuit.Network, vals *sim.Values, arrival []float64, lib *cell.Library, r *rand.Rand) *proposal {
 	live := net.LiveNodes()
 	var gates []circuit.NodeID
